@@ -21,9 +21,11 @@ _WORKERS_ENV = "SUMSETLAB_WORKERS"
 
 
 def _default_workers() -> int:
+    raw = os.environ.get(_WORKERS_ENV, "1")
     try:
-        return max(1, int(os.environ.get(_WORKERS_ENV, "1")))
+        return max(1, int(raw))
     except ValueError:
+        print(f"warning: {_WORKERS_ENV}={raw!r} is not an integer; using 1 worker", file=sys.stderr)
         return 1
 
 
@@ -315,6 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_types_to_sum)
 
+    workers = _default_workers()
     g = top.add_parser("experiment", help="seeded sampling and exhaustive scans")
     sub = g.add_subparsers(dest="cmd", required=True)
     p = sub.add_parser("random", help="|hA| histogram over random k-subsets of [n]")
@@ -323,14 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=workers)
     _add_common(p)
     p.set_defaults(func=_cmd_exp_random)
     p = sub.add_parser("scan", help="|hA| histogram over all k-subsets of [n]")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=workers)
     _add_common(p)
     p.set_defaults(func=_cmd_exp_scan)
     p = sub.add_parser("minima-stats", help="first-minima statistics over random subsets")
@@ -340,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", type=int, required=True)
     p.add_argument("--count", type=int, default=1)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=workers)
     _add_common(p)
     p.set_defaults(func=_cmd_exp_minima)
     p = sub.add_parser("type-census", help="distinct h-types over all k-subsets of [n]")

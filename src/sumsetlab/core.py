@@ -19,17 +19,26 @@ class CapExceeded(RuntimeError):
     """A configured enumeration or cardinality budget would be exceeded."""
 
 
+def _integral(value) -> int:
+    as_int = int(value)
+    if as_int != value:
+        raise ValueError(f"IntegerSet needs integral values, got {value!r}")
+    return as_int
+
+
 class IntegerSet:
     """A finite set of integers, stored as a strictly increasing tuple.
 
     Input values are deduplicated and sorted, so the increasing invariant
-    holds by construction.
+    holds by construction. Values must be integral (3, 3.0 and
+    Fraction(6, 2) all give 3); a non-integral value raises ValueError
+    instead of being truncated.
     """
 
     __slots__ = ("elements",)
 
     def __init__(self, values: Iterable[int]):
-        elems = tuple(sorted({int(v) for v in values}))
+        elems = tuple(sorted({v if type(v) is int else _integral(v) for v in values}))
         if not elems:
             raise ValueError("IntegerSet needs at least one element")
         object.__setattr__(self, "elements", elems)

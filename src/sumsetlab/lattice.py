@@ -10,19 +10,25 @@ h-fold sums: c splits as u - v with u, v nonnegative compositions of
 least 4.
 
 Minima are found by certified exhaustive enumeration, not by a reduction
-heuristic: coordinates c_1..c_{k-2} are assigned recursively under a
-remaining-norm budget, and the last two coordinates are solved exactly
-from the two linear constraints, so the search tree has depth k-2. The
-enumeration emits one canonical representative per {v, -v} pair (first
-nonzero coordinate positive). A completed sweep up to norm `cap` proves
-there is no undiscovered vector of norm <= cap, which is what makes the
-reported minima exact rather than best-found.
+heuristic: coordinates c_1..c_{k-3} are scanned recursively under a
+remaining-norm budget, the last free coordinate c_{k-2} is stepped over
+the solutions of a linear congruence, and the last two coordinates are
+solved exactly from the two linear constraints, so the search tree has
+depth k-2. The congruence is the condition that c_{k-1} come out
+integral: it is taken modulo det = a_k - a_{k-1}, and its solutions form
+at most one residue class modulo m = det / g, where g depends on A only,
+so c_{k-2} advances in steps of m instead of 1. The enumeration emits one
+canonical representative per {v, -v} pair (first nonzero coordinate
+positive). A completed sweep up to norm `cap` proves there is no
+undiscovered vector of norm <= cap, which is what makes the reported
+minima exact rather than best-found.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .core import IntegerSet
 
@@ -137,71 +143,64 @@ class _RationalEchelon:
         return True
 
 
-def _shells_k4(a: tuple[int, ...], cap: int) -> dict[int, list[tuple[int, ...]]]:
-    """Canonical lattice vectors of norm <= cap for k = 4, grouped by norm.
-    Specialized flat loop; this is the hot path of the minima statistics."""
-    a1, a2, a3, a4 = a
-    det = a4 - a3
-    shells: dict[int, list[tuple[int, ...]]] = {}
-    for c1 in range(0, cap + 1):
-        rem = cap - c1
-        lo = 0 if c1 == 0 else -rem
-        d1 = a1 * c1
-        for c2 in range(lo, rem + 1):
-            s = c1 + c2
-            c3, r = divmod(d1 + a2 * c2 - a4 * s, det)
-            if r:
-                continue
-            c4 = -s - c3
-            norm = c1 + abs(c2) + abs(c3) + abs(c4)
-            if norm and norm <= cap:
-                shells.setdefault(norm, []).append((c1, c2, c3, c4))
-    return shells
-
-
-def _shells_general(a: tuple[int, ...], cap: int) -> dict[int, list[tuple[int, ...]]]:
-    """Recursive budgeted enumeration for arbitrary k >= 3."""
-    k = len(a)
-    am1, ak = a[-2], a[-1]
-    det = ak - am1
-    shells: dict[int, list[tuple[int, ...]]] = {}
-    prefix = [0] * (k - 2)
-
-    def assign(i: int, budget: int, leading: bool, s: int, d: int) -> None:
-        if i == k - 2:
-            cm1, r = divmod(d - ak * s, det)
-            if r:
-                return
-            ck = -s - cm1
-            tail = abs(cm1) + abs(ck)
-            if tail <= budget:
-                norm = (cap - budget) + tail
-                if norm:
-                    shells.setdefault(norm, []).append(tuple(prefix) + (cm1, ck))
-            return
-        lo = 0 if leading else -budget
-        ai = a[i]
-        for c in range(lo, budget + 1):
-            prefix[i] = c
-            assign(i + 1, budget - abs(c), leading and c == 0, s + c, d + ai * c)
-        prefix[i] = 0
-
-    assign(0, cap, True, 0, 0)
-    return shells
-
-
 def lattice_shells(A: IntegerSet, cap: int) -> dict[int, list[tuple[int, ...]]]:
     """All canonical nonzero lattice vectors of L1 norm <= cap, keyed by
     norm. Canonical means the first nonzero coordinate is positive; the
-    mirror image -v is implied."""
+    mirror image -v is implied.
+
+    One enumerator serves every k >= 3. Coordinates c_1..c_{k-3} are
+    scanned; the last free coordinate c = c_{k-2} is not. With s and d the
+    sum and the a-weighted sum of c_1..c_{k-3}, the two constraints give
+    c_{k-1} = (d - a_k s + (a_{k-2} - a_k) c) / det with det = a_k - a_{k-1},
+    and c_k = -s - c - c_{k-1}. So c_{k-1} is integral exactly when
+    (a_{k-2} - a_k) c = a_k s - d (mod det). With g the gcd of
+    a_{k-2} - a_k and det, that congruence has no solution unless g divides
+    d - a_k s, and otherwise fixes c modulo m = det / g; c then steps over
+    that residue class in steps of m.
+    """
     if A.k < 3:
         raise ValueError("coefficient lattice is trivial for k < 3")
     if cap < 0:
         raise ValueError("cap must be nonnegative")
     a = A.elements
-    if A.k == 4:
-        return _shells_k4(a, cap)
-    return _shells_general(a, cap)
+    k = A.k
+    ak = a[-1]
+    det = ak - a[-2]
+    slope = a[-3] - ak
+    # u * c = -(d - a_k s) (mod det), solved as c = inv * (-(d - a_k s) / g)
+    # (mod m); u = 0 gives g = det and m = 1.
+    u = slope % det
+    g = gcd(u, det)
+    m = det // g
+    inv = pow(u // g, -1, m)
+    shells: dict[int, list[tuple[int, ...]]] = {}
+    prefix = [0] * (k - 3)
+
+    def assign(i: int, budget: int, leading: bool, s: int, d: int) -> None:
+        lo = 0 if leading else -budget
+        if i < k - 3:
+            ai = a[i]
+            for c in range(lo, budget + 1):
+                prefix[i] = c
+                assign(i + 1, budget - abs(c), leading and c == 0, s + c, d + ai * c)
+            prefix[i] = 0
+            return
+        r = d - ak * s
+        if r % g:
+            return
+        head = tuple(prefix)
+        used = cap - budget
+        for c in range(lo + (inv * (-r // g) - lo) % m, budget + 1, m):
+            cm1 = (r + slope * c) // det
+            ck = -s - c - cm1
+            tail = abs(c) + abs(cm1) + abs(ck)
+            if tail <= budget:
+                norm = used + tail
+                if norm:
+                    shells.setdefault(norm, []).append(head + (c, cm1, ck))
+
+    assign(0, cap, True, 0, 0)
+    return shells
 
 
 @dataclass(frozen=True)
@@ -260,11 +259,12 @@ def successive_minima(A: IntegerSet, count: int, cap: int) -> MinimaReport:
 def find_minima(A: IntegerSet, count: int, max_cap: int = 4096, start_cap: int = 16) -> MinimaReport:
     """successive_minima with a doubling cap schedule.
 
-    Sweeping a ball costs roughly cap^(k-2), so starting small and doubling
-    until the requested minima appear keeps the cost near the cheapest
-    sufficient cap. The final report is still certified for its cap; if
-    max_cap is reached without `count` minima the report comes back
-    truncated rather than wrong.
+    Sweeping a ball costs about cap^(k-3) * (cap/m + 1) steps, where m is
+    the step of the last free coordinate's congruence (see lattice_shells),
+    so starting small and doubling until the requested minima appear keeps
+    the cost near the cheapest sufficient cap. The final report is still
+    certified for its cap; if max_cap is reached without `count` minima
+    the report comes back truncated rather than wrong.
     """
     cap = min(start_cap, max_cap)
     while True:

@@ -47,6 +47,22 @@ def test_workers_env_default(monkeypatch):
     assert args.workers == 1
 
 
+def test_workers_env_invalid_warns_once(monkeypatch, capsys):
+    import sumsetlab.cli as cli
+
+    monkeypatch.setenv("SUMSETLAB_WORKERS", "junk")
+    parser = cli.build_parser()
+    args = parser.parse_args(["experiment", "minima-stats", "--n", "10", "--k", "4",
+                              "--samples", "1", "--cap", "16"])
+    assert args.workers == 1
+    err = capsys.readouterr().err
+    assert err.count("warning:") == 1
+    assert "SUMSETLAB_WORKERS" in err
+    monkeypatch.setenv("SUMSETLAB_WORKERS", "3")
+    cli.build_parser()
+    assert capsys.readouterr().err == ""
+
+
 def test_sumset_compute(capsys):
     code, out, _ = run_cli(capsys, ["sumset", "compute", "--set", "0,1,2", "--h", "3"])
     assert code == 0

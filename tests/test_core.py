@@ -1,5 +1,7 @@
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sumsetlab.core import (
@@ -70,6 +72,16 @@ def test_integer_set_immutable_and_nonempty():
         A.elements = (3,)
     with pytest.raises(ValueError):
         IntegerSet([])
+
+
+def test_integer_set_rejects_non_integral_values():
+    for values in ([0.5, 1.7, 3], [0, Fraction(1, 2)], [np.float64(2.25), 4]):
+        with pytest.raises(ValueError):
+            IntegerSet(values)
+    # integral values of any numeric type are accepted as before
+    A = IntegerSet([3.0, Fraction(6, 2), np.int64(5), True])
+    assert A.elements == (1, 3, 5)
+    assert all(type(x) is int for x in A.elements)
 
 
 def test_rational_set_parses_fractions():

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumsetlab.core import IntegerSet
 from sumsetlab.lattice import (
@@ -30,6 +32,51 @@ def naive_ball(A, cap):
             continue
         out.append(vec)
     return out
+
+
+def scan_shells(a: tuple[int, ...], cap: int) -> dict[int, list[tuple[int, ...]]]:
+    """Slow oracle for lattice_shells: the recursive enumeration that scans
+    the last free coordinate and keeps the values whose division by det is
+    exact."""
+    k = len(a)
+    am1, ak = a[-2], a[-1]
+    det = ak - am1
+    shells: dict[int, list[tuple[int, ...]]] = {}
+    prefix = [0] * (k - 2)
+
+    def assign(i: int, budget: int, leading: bool, s: int, d: int) -> None:
+        if i == k - 2:
+            cm1, r = divmod(d - ak * s, det)
+            if r:
+                return
+            ck = -s - cm1
+            tail = abs(cm1) + abs(ck)
+            if tail <= budget:
+                norm = (cap - budget) + tail
+                if norm:
+                    shells.setdefault(norm, []).append(tuple(prefix) + (cm1, ck))
+            return
+        lo = 0 if leading else -budget
+        ai = a[i]
+        for c in range(lo, budget + 1):
+            prefix[i] = c
+            assign(i + 1, budget - abs(c), leading and c == 0, s + c, d + ai * c)
+        prefix[i] = 0
+
+    assign(0, cap, True, 0, 0)
+    return shells
+
+
+def sorted_shells(shells):
+    return {norm: sorted(vecs) for norm, vecs in shells.items()}
+
+
+def canonical_naive_shells(A, cap):
+    expected = {}
+    for vec in naive_ball(A, cap):
+        canon = vec if next(x for x in vec if x) > 0 else tuple(-x for x in vec)
+        expected.setdefault(sum(map(abs, canon)), set()).add(canon)
+    return sorted_shells(expected)
 
 
 def test_basis_rank_and_orthogonality():
@@ -182,3 +229,53 @@ def test_report_serialization():
     assert d["cap"] == 64
     assert d["truncated"] is False
     assert isinstance(d["minimizers"][0], list)
+
+
+def test_shells_match_scanning_oracle():
+    # congruence stepping against the scanning enumerator on seeded sets
+    # of either sign, k = 3..6, det = a_k - a_{k-1} up to 10^4
+    rng = random.Random(20250809)
+    caps = {3: 80, 4: 80, 5: 24, 6: 12}
+    for i in range(1200):
+        k = 3 + i % 4
+        span = rng.choice([12, 300, 20_000])
+        elems = sorted(rng.sample(range(-span, span + 1), k - 1))
+        elems.append(elems[-1] + rng.randint(1, rng.choice([20, 10_000])))
+        A = IntegerSet(elems)
+        cap = rng.randint(caps[k] // 2, caps[k])
+        assert sorted_shells(lattice_shells(A, cap)) == sorted_shells(scan_shells(A.elements, cap))
+
+
+@pytest.mark.parametrize(
+    "elems, cap",
+    [
+        ((0, 2, 18, 19), 60),  # det = 1, so m = 1: every c_{k-2} solves
+        ((-7, 3, 40, 41, 42), 14),  # det = 1 at k = 5
+        ((0, 3, 5, 7), 60),  # a_{k-2} = a_k (mod det): u = 0, g = det, m = 1
+        ((1, 10, 100, 190), 60),  # u = 0 with det = 90
+        ((-30, -20, -10, 10, 20, 30), 10),  # u = 0 at k = 6
+        ((0, 1, 3), 80),  # k = 3: no scanned coordinate
+        ((-50, 7, 100), 400),  # k = 3, both signs, det = 93, g = 3, m = 31
+        ((5, 6, 7), 40),  # k = 3, det = 1
+    ],
+)
+def test_shells_congruence_edge_cases(elems, cap):
+    A = IntegerSet(elems)
+    shells = sorted_shells(lattice_shells(A, cap))
+    assert shells == sorted_shells(scan_shells(A.elements, cap))
+    assert shells  # each case has vectors within its cap
+
+
+@st.composite
+def small_lattice_cases(draw):
+    k = draw(st.integers(3, 5))
+    elems = draw(st.lists(st.integers(-60, 60), min_size=k, max_size=k, unique=True))
+    cap = draw(st.integers(0, 12 if k < 5 else 6))
+    return IntegerSet(elems), cap
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_lattice_cases())
+def test_shells_property_against_naive_ball(case):
+    A, cap = case
+    assert sorted_shells(lattice_shells(A, cap)) == canonical_naive_shells(A, cap)
