@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -54,12 +55,18 @@ def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:
         sys.stdout.write(text)
 
 
-def _int_set(text: str) -> IntegerSet:
-    return IntegerSet.from_text(text)
+def _set_type(cls):
+    """argparse type for --set: a malformed set is a usage error (exit 2)."""
+    def parse(text: str):
+        try:
+            return cls.from_text(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(f"invalid set {text!r}: {exc}") from None
+    return parse
 
 
-def _rat_set(text: str) -> RationalSet:
-    return RationalSet.from_text(text)
+_int_set = _set_type(IntegerSet)
+_rat_set = _set_type(RationalSet)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -68,14 +75,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_sumset_compute(args) -> None:
-    A = _int_set(args.set)
-    result = sumset.h_fold_sumset(A, args.h)
-    _emit(args, {"set": list(A.elements), "h": args.h, "sumset": list(result.elements), "size": result.k})
+    result = sumset.h_fold_sumset(args.set, args.h)
+    _emit(args, {"set": list(args.set.elements), "h": args.h, "sumset": list(result.elements), "size": result.k})
 
 
 def _cmd_sumset_profile(args) -> None:
-    A = _int_set(args.set)
-    profile = sumset.sumset_profile(A, args.horizon)
+    profile = sumset.sumset_profile(args.set, args.horizon)
     rows = [
         (h, profile.sizes[h - 1], profile.deficits[h - 1],
          profile.deficit_first_differences[h - 2] if h >= 2 else "")
@@ -85,14 +90,12 @@ def _cmd_sumset_profile(args) -> None:
 
 
 def _cmd_lattice_basis(args) -> None:
-    A = _int_set(args.set)
-    basis = lattice.coefficient_lattice_basis(A)
+    basis = lattice.coefficient_lattice_basis(args.set)
     _emit(args, basis.to_dict(), [tuple(r) for r in basis.rows])
 
 
 def _cmd_lattice_minima(args) -> None:
-    A = _int_set(args.set)
-    report = lattice.successive_minima(A, args.count, args.cap)
+    report = lattice.successive_minima(args.set, args.count, args.cap)
     _emit(args, report.to_dict(), [(n,) + v for n, v in zip(report.minima, report.minimizers)])
 
 
@@ -109,14 +112,14 @@ def _cmd_theory_verify(args) -> None:
     if bool(args.set) == bool(args.file):
         raise ValueError("give exactly one of --set or --file")
     if args.set:
-        _emit(args, _verify_one(_int_set(args.set), args.max_cap))
+        _emit(args, _verify_one(args.set, args.max_cap))
         return
     reports = []
     with open(args.file) as fh:
         for line in fh:
             line = line.strip()
             if line:
-                reports.append(_verify_one(_int_set(line), args.max_cap))
+                reports.append(_verify_one(IntegerSet.from_text(line), args.max_cap))
     _emit(args, {"reports": reports, "all_match": all(r["all_match"] for r in reports)})
 
 
@@ -150,41 +153,36 @@ def _cmd_theory_extremes(args) -> None:
 def _cmd_types_type(args) -> None:
     h = args.h
     if args.product:
-        part = types.product_type(_int_set(args.set), h)
+        part = types.product_type(IntegerSet(args.set), h)
     else:
-        A = _rat_set(args.set)
-        part = types.h_type(A, h)
+        part = types.h_type(args.set, h)
     payload = part.to_dict()
     payload["class_count"] = part.class_count
     _emit(args, payload)
 
 
 def _cmd_types_separation(args) -> None:
-    X = _rat_set(args.set)
-    sep = types.separation(X, args.h)
-    _emit(args, {"set": [str(x) for x in X.elements], "h": args.h, "separation": str(sep)})
+    sep = types.separation(args.set, args.h)
+    _emit(args, {"set": [str(x) for x in args.set.elements], "h": args.h, "separation": str(sep)})
 
 
 def _cmd_types_embed(args) -> None:
-    X = _rat_set(args.set)
-    A, trace = types.embed_real_to_integers(X, args.h)
+    A, trace = types.embed_real_to_integers(args.set, args.h)
     if args.positive:
         A = IntegerSet(a + 1 for a in A.elements)
-    payload = {"set": [str(x) for x in X.elements], "h": args.h,
+    payload = {"set": [str(x) for x in args.set.elements], "h": args.h,
                "result": list(A.elements), "trace": trace.to_dict()}
     _emit(args, payload)
 
 
 def _cmd_types_to_product(args) -> None:
-    S = _int_set(args.set)
-    P = types.sum_to_product(S)
-    _emit(args, {"set": list(S.elements), "result": list(P.elements)})
+    P = types.sum_to_product(args.set)
+    _emit(args, {"set": list(args.set.elements), "result": list(P.elements)})
 
 
 def _cmd_types_to_sum(args) -> None:
-    P = _int_set(args.set)
-    A = types.product_to_sum(P, args.h)
-    _emit(args, {"set": list(P.elements), "h": args.h, "result": list(A.elements)})
+    A = types.product_to_sum(args.set, args.h)
+    _emit(args, {"set": list(args.set.elements), "h": args.h, "result": list(A.elements)})
 
 
 def _cmd_exp_random(args) -> None:
@@ -234,12 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
     g = top.add_parser("sumset", help="h-fold sumsets and size profiles")
     sub = g.add_subparsers(dest="cmd", required=True)
     p = sub.add_parser("compute", help="the set hA")
-    p.add_argument("--set", required=True)
+    p.add_argument("--set", type=_int_set, required=True)
     p.add_argument("--h", type=int, required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_sumset_compute)
     p = sub.add_parser("profile", help="sizes, deficits, and first differences for h=1..H")
-    p.add_argument("--set", required=True)
+    p.add_argument("--set", type=_int_set, required=True)
     p.add_argument("--horizon", type=int, required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_sumset_profile)
@@ -247,11 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
     g = top.add_parser("lattice", help="coefficient lattice of a set")
     sub = g.add_subparsers(dest="cmd", required=True)
     p = sub.add_parser("basis", help="integer kernel basis")
-    p.add_argument("--set", required=True)
+    p.add_argument("--set", type=_int_set, required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_lattice_basis)
     p = sub.add_parser("minima", help="successive L1 minima and minimizers")
-    p.add_argument("--set", required=True)
+    p.add_argument("--set", type=_int_set, required=True)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--cap", type=int, required=True)
     _add_common(p)
@@ -266,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_theory_predict)
     p = sub.add_parser("verify", help="brute force vs prediction below the second minimum")
-    p.add_argument("--set")
+    p.add_argument("--set", type=_int_set)
     p.add_argument("--file", help="path with one comma-separated set per line")
     p.add_argument("--max-cap", type=int, default=4096)
     _add_common(p)
@@ -290,29 +288,29 @@ def build_parser() -> argparse.ArgumentParser:
     g = top.add_parser("types", help="addition-table types and transport")
     sub = g.add_subparsers(dest="cmd", required=True)
     p = sub.add_parser("type", help="canonical h-type partition")
-    p.add_argument("--set", required=True)
+    p.add_argument("--set", type=_rat_set, required=True)
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--product", action="store_true", help="partition by products instead of sums")
     _add_common(p)
     p.set_defaults(func=_cmd_types_type)
     p = sub.add_parser("separation", help="smallest gap between distinct h-fold sums")
-    p.add_argument("--set", required=True)
+    p.add_argument("--set", type=_rat_set, required=True)
     p.add_argument("--h", type=int, required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_types_separation)
     p = sub.add_parser("embed", help="integer set with the same h-type as a rational set")
-    p.add_argument("--set", required=True)
+    p.add_argument("--set", type=_rat_set, required=True)
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--positive", action="store_true",
                    help="translate the result by +1 so all elements are positive")
     _add_common(p)
     p.set_defaults(func=_cmd_types_embed)
     p = sub.add_parser("to-product", help="s -> 2**s type transport")
-    p.add_argument("--set", required=True)
+    p.add_argument("--set", type=_int_set, required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_types_to_product)
     p = sub.add_parser("to-sum", help="integer set with the h-type of a product table")
-    p.add_argument("--set", required=True)
+    p.add_argument("--set", type=_int_set, required=True)
     p.add_argument("--h", type=int, required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_types_to_sum)
@@ -356,9 +354,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on first use; SUMSETLAB_WORKERS is
+    therefore read once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.func(args)
     except (ValueError, CapExceeded, OSError, RuntimeError) as exc:

@@ -256,7 +256,11 @@ def successive_minima(A: IntegerSet, count: int, cap: int) -> MinimaReport:
     return MinimaReport(tuple(minima), tuple(minimizers), cap, True)
 
 
-def find_minima(A: IntegerSet, count: int, max_cap: int = 4096, start_cap: int = 16) -> MinimaReport:
+# The first ball find_minima sweeps; each retry doubles it.
+_START_CAP = 16
+
+
+def find_minima(A: IntegerSet, count: int, max_cap: int = 4096) -> MinimaReport:
     """successive_minima with a doubling cap schedule.
 
     Sweeping a ball costs about cap^(k-3) * (cap/m + 1) steps, where m is
@@ -266,7 +270,7 @@ def find_minima(A: IntegerSet, count: int, max_cap: int = 4096, start_cap: int =
     certified for its cap; if max_cap is reached without `count` minima
     the report comes back truncated rather than wrong.
     """
-    cap = min(start_cap, max_cap)
+    cap = min(_START_CAP, max_cap)
     while True:
         report = successive_minima(A, count, cap)
         if not report.truncated or cap >= max_cap:

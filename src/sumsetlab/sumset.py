@@ -1,22 +1,23 @@
 """h-fold sumsets, exact size profiles, and deficit tables.
 
-The hot kernel represents a sumset as a bitmask: after translating A so
-min(A) = 0, the set hA lives in [0, h*diam], and one fold step is
+Every sumset computation goes through one kernel, `_fold`. It translates
+A so min(A) = 0, giving offsets o_0 = 0 < o_1 < ... < o_{k-1}, and then
+folds h - 1 times; one fold step is
 
-    next = mask | (mask << o_1) | ... | (mask << o_{k-1})
+    next = cur | (cur << o_1) | ... | (cur << o_{k-1})
 
-over the nonzero offsets o_i = a_i - a_1. A fold step is k big-int shifts
-and ORs on an (h*diam)-bit integer, which beats set-based dedup by a wide
-margin in the dense regime this library scans. Sets whose span h*diam is
-too large for a bitmask fall back to plain set accumulation; both paths
-are exact.
+on a bitmask of the (h*diam + 1)-bit window [0, h*diam] that holds
+hA - h*min(A). A step is k-1 big-int shifts and ORs, which beats
+set-based dedup by a wide margin in the dense regime this library scans.
+When the window is too wide for a bitmask the same fold runs on a Python
+set instead. Both paths are exact and check the size cap after every step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CapExceeded, IntegerSet, binomial
+from .core import CapExceeded, IntegerSet, binomial, normalize
 
 DEFAULT_SIZE_CAP = 100_000_000
 
@@ -25,33 +26,35 @@ DEFAULT_SIZE_CAP = 100_000_000
 _BITMASK_SPAN_LIMIT = 1 << 26
 
 
-def _fold_bitmask(offsets: tuple[int, ...], horizon: int, cap: int) -> tuple[list[int], int]:
-    """Sizes |hA| for h=1..horizon plus the final mask, offsets pre-translated."""
-    mask = 1
-    for o in offsets:
-        mask |= 1 << o
-    sizes = [mask.bit_count()]
-    cur = mask
-    for _ in range(horizon - 1):
-        nxt = cur
-        for o in offsets:
-            nxt |= cur << o
-        cur = nxt
-        n = cur.bit_count()
+def _fold(elements: tuple[int, ...], h: int, cap: int) -> tuple[list[int], int | set[int]]:
+    """Sizes [|1A|, ..., |hA|] for a sorted tuple of distinct integers,
+    plus hA - h*min(A): a bitmask if its span fits the limit, else a set."""
+    if h < 1:
+        raise ValueError("h must be positive")
+    base = elements[0]
+    offsets = tuple(a - base for a in elements)
+    shifts = offsets[1:]
+    bitmask = h * offsets[-1] <= _BITMASK_SPAN_LIMIT
+    if bitmask:
+        cur = 1
+        for o in shifts:
+            cur |= 1 << o
+    else:
+        cur = set(offsets)
+    sizes = [len(offsets)]
+    for _ in range(h - 1):
+        if bitmask:
+            nxt = cur
+            for o in shifts:
+                nxt |= cur << o
+            cur = nxt
+            n = cur.bit_count()
+        else:
+            cur = {s + o for s in cur for o in offsets}
+            n = len(cur)
         if n > cap:
             raise CapExceeded(f"sumset size {n} exceeds cap {cap}")
         sizes.append(n)
-    return sizes, cur
-
-
-def _fold_sets(elements: tuple[int, ...], horizon: int, cap: int) -> tuple[list[int], set[int]]:
-    cur = set(elements)
-    sizes = [len(cur)]
-    for _ in range(horizon - 1):
-        cur = {s + a for s in cur for a in elements}
-        if len(cur) > cap:
-            raise CapExceeded(f"sumset size {len(cur)} exceeds cap {cap}")
-        sizes.append(len(cur))
     return sizes, cur
 
 
@@ -59,47 +62,26 @@ def fold_sizes(elements: tuple[int, ...], horizon: int, cap: int = DEFAULT_SIZE_
     """[|1A|, |2A|, ..., |HA|] in one incremental pass, for a sorted tuple
     of distinct integers. Fast path for loops that do not need the
     IntegerSet wrapper."""
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
-    base = elements[0]
-    span = horizon * (elements[-1] - base)
-    if span <= _BITMASK_SPAN_LIMIT:
-        offsets = tuple(a - base for a in elements[1:])
-        return _fold_bitmask(offsets, horizon, cap)[0]
-    return _fold_sets(elements, horizon, cap)[0]
+    return _fold(elements, horizon, cap)[0]
 
 
 def fold_size(elements: tuple[int, ...], h: int, cap: int = DEFAULT_SIZE_CAP) -> int:
     """|hA| for a sorted tuple of distinct integers."""
-    if h < 1:
-        raise ValueError("h must be positive")
-    base = elements[0]
-    span = h * (elements[-1] - base)
-    if span <= _BITMASK_SPAN_LIMIT:
-        offsets = tuple(a - base for a in elements[1:])
-        return _fold_bitmask(offsets, h, cap)[0][-1]
-    return _fold_sets(elements, h, cap)[0][-1]
+    return _fold(elements, h, cap)[0][-1]
 
 
 def h_fold_sumset(A: IntegerSet, h: int, cap: int = DEFAULT_SIZE_CAP) -> IntegerSet:
     """The set hA = {b_1 + ... + b_h : b_i in A}, as a sorted IntegerSet."""
-    if h < 1:
-        raise ValueError("h must be positive")
-    if h == 1:
-        return A
-    base = A.elements[0]
-    if h * A.diam <= _BITMASK_SPAN_LIMIT:
-        offsets = tuple(a - base for a in A.elements[1:])
-        _, mask = _fold_bitmask(offsets, h, cap)
-        shift = h * base
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1 + shift)
-            mask ^= low
-        return IntegerSet(out)
-    _, final = _fold_sets(A.elements, h, cap)
-    return IntegerSet(final)
+    _, final = _fold(A.elements, h, cap)
+    shift = h * A.elements[0]
+    if isinstance(final, set):
+        return IntegerSet(s + shift for s in final)
+    out = []
+    while final:
+        low = final & -final
+        out.append(low.bit_length() - 1 + shift)
+        final ^= low
+    return IntegerSet(out)
 
 
 @dataclass(frozen=True)
@@ -109,10 +91,12 @@ class SumsetProfile:
     deficits[h-1] is C(h+k-1, k-1) - |hA|, the count of coinciding sums;
     deficit_first_differences[h-2] is deficits[h-1] - deficits[h-2].
     bh_threshold is the largest h with zero deficit. linear_intercept is
-    the constant C0 with |hA| = diam*h + C0 once the tail of the size
-    sequence has stabilized to slope diam; it is None when the horizon is
-    too short to exhibit (or trust) the linear regime, and the detection
-    is a heuristic on the observed tail, not a proof of linearity.
+    the constant C0 with |hA| = (diam/g)*h + C0 once the tail of the size
+    sequence has stabilized to slope diam/g, where g is the gcd of the
+    differences of A (so diam/g is the diameter of normalize(A)); it is
+    None when the horizon is too short to exhibit (or trust) the linear
+    regime, and the detection is a heuristic on the observed tail, not a
+    proof of linearity.
     """
 
     A: IntegerSet
@@ -137,8 +121,6 @@ class SumsetProfile:
 
 def sumset_profile(A: IntegerSet, horizon: int, cap: int = DEFAULT_SIZE_CAP) -> SumsetProfile:
     """Exact size/deficit profile of A for h = 1..horizon."""
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
     if A.k < 2:
         raise ValueError("profile requires at least two elements")
     k = A.k
@@ -155,9 +137,9 @@ def sumset_profile(A: IntegerSet, horizon: int, cap: int = DEFAULT_SIZE_CAP) -> 
     intercept = None
     window = max(3, k)
     if horizon - 1 >= window:
-        diam = A.diam
+        slope = normalize(A).diam
         growth = [sizes[i] - sizes[i - 1] for i in range(horizon - window, horizon)]
-        if all(g == diam for g in growth):
-            intercept = sizes[-1] - diam * horizon
+        if all(g == slope for g in growth):
+            intercept = sizes[-1] - slope * horizon
 
     return SumsetProfile(A, horizon, sizes, deficits, diffs, bh, intercept)

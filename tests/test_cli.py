@@ -199,3 +199,48 @@ def test_csv_unavailable_is_reported(capsys):
                                     "--format", "csv"])
     assert code == 1
     assert "CSV" in err or "csv" in err
+
+
+def test_main_builds_parser_once(monkeypatch, capsys):
+    import sumsetlab.cli as cli
+
+    original = cli.build_parser
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        argv = ["types", "to-sum", "--set", "2,3,4,6", "--h", "2"]
+        first = run_cli(capsys, argv)
+        second = run_cli(capsys, argv)
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert first == second and first[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sumset", "compute", "--set", "1,x", "--h", "2"],
+        ["types", "type", "--set", "1/2,x", "--h", "2"],
+        ["types", "type", "--set", "1/0", "--h", "2"],
+    ],
+)
+def test_malformed_set_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--set" in capsys.readouterr().err
+
+
+def test_malformed_verify_file_line_is_computation_error(tmp_path, capsys):
+    path = tmp_path / "sets.txt"
+    path.write_text("0,2,18,25\n1,x\n")
+    code, _, err = run_cli(capsys, ["theory", "verify", "--file", str(path)])
+    assert code == 1
+    assert "error:" in err

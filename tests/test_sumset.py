@@ -2,7 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sumsetlab import sumset
 from sumsetlab.core import CapExceeded, IntegerSet, binomial
 from sumsetlab.sumset import fold_size, fold_sizes, h_fold_sumset, sumset_profile
 
@@ -110,3 +113,57 @@ def test_profile_serialization_field_names():
     d = sumset_profile(GOLDEN_SET, 4).to_dict()
     for field in ("sizes", "deficits", "deficit_first_differences", "bh_threshold", "linear_intercept"):
         assert field in d
+
+
+def test_profile_intercept_uses_normalized_slope():
+    # differences with gcd 2: the linear regime has slope diam/2, not diam
+    assert sumset_profile(IntegerSet([0, 2, 4]), 20).linear_intercept == 1  # |hA| = 2h + 1
+    assert sumset_profile(IntegerSet([0, 2, 6]), 20).linear_intercept == 0  # |hA| = 3h
+    assert sumset_profile(IntegerSet([0, 1, 3]), 20).linear_intercept == 0
+
+
+def test_every_caller_rejects_nonpositive_h():
+    for h in (0, -1):
+        with pytest.raises(ValueError):
+            fold_size((0, 1, 3), h)
+        with pytest.raises(ValueError):
+            fold_sizes((0, 1, 3), h)
+        with pytest.raises(ValueError):
+            h_fold_sumset(IntegerSet([0, 1, 3]), h)
+
+
+def _fold_outcome(A, h, cap):
+    """_fold's sizes and final offset set, and hA from h_fold_sumset, or
+    None when they hit the cap."""
+    try:
+        sizes, final = sumset._fold(A.elements, h, cap)
+        hA = set(h_fold_sumset(A, h, cap).elements)
+    except CapExceeded:
+        return None
+    if not isinstance(final, set):
+        final = {i for i in range(final.bit_length()) if final >> i & 1}
+    return sizes, final, hA
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-40, 40), min_size=1, max_size=5, unique=True),
+    st.integers(1, 5),
+    st.integers(1, 80),
+)
+def test_fold_bitmask_and_set_paths_match_oracle(values, h, cap):
+    A = IntegerSet(values)
+    bitmask = _fold_outcome(A, h, cap)
+    assert isinstance(sumset._fold(A.elements, 1, cap)[1], int)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sumset, "_BITMASK_SPAN_LIMIT", -1)
+        assert isinstance(sumset._fold(A.elements, 1, cap)[1], set)
+        sets = _fold_outcome(A, h, cap)
+    assert bitmask == sets
+
+    expected = [len(brute_sumset(A, j)) for j in range(1, h + 1)]
+    if max(expected[1:], default=0) > cap:
+        assert bitmask is None  # both paths raise CapExceeded
+    else:
+        hA = brute_sumset(A, h)
+        assert bitmask == (expected, {s - h * A.elements[0] for s in hA}, hA)
