@@ -69,6 +69,18 @@ _int_set = _set_type(IntegerSet)
 _rat_set = _set_type(RationalSet)
 
 
+def _even_cap(text: str) -> int:
+    """argparse type for --cap and --max-cap: an even integer >= 4, else a
+    usage error."""
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 4 or cap % 2:
+        raise argparse.ArgumentTypeError(f"cap must be an even integer >= 4, got {text!r}")
+    return cap
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.add_argument("--out", help="write the report to this path instead of stdout")
@@ -153,7 +165,11 @@ def _cmd_theory_extremes(args) -> None:
 def _cmd_types_type(args) -> None:
     h = args.h
     if args.product:
-        part = types.product_type(IntegerSet(args.set), h)
+        try:
+            P = IntegerSet(args.set)
+        except ValueError as exc:
+            args.usage_error(f"argument --set: --product needs an integer set: {exc}")
+        part = types.product_type(P, h)
     else:
         part = types.h_type(args.set, h)
     payload = part.to_dict()
@@ -251,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minima", help="successive L1 minima and minimizers")
     p.add_argument("--set", type=_int_set, required=True)
     p.add_argument("--count", type=int, default=1)
-    p.add_argument("--cap", type=int, required=True)
+    p.add_argument("--cap", type=_even_cap, required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_lattice_minima)
 
@@ -266,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="brute force vs prediction below the second minimum")
     p.add_argument("--set", type=_int_set)
     p.add_argument("--file", help="path with one comma-separated set per line")
-    p.add_argument("--max-cap", type=int, default=4096)
+    p.add_argument("--max-cap", type=_even_cap, default=4096)
     _add_common(p)
     p.set_defaults(func=_cmd_theory_verify)
     p = sub.add_parser("construct-lemma", help="set with prescribed minima (2a, 2b)")
@@ -292,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--product", action="store_true", help="partition by products instead of sums")
     _add_common(p)
-    p.set_defaults(func=_cmd_types_type)
+    p.set_defaults(func=_cmd_types_type, usage_error=p.error)
     p = sub.add_parser("separation", help="smallest gap between distinct h-fold sums")
     p.add_argument("--set", type=_rat_set, required=True)
     p.add_argument("--h", type=int, required=True)
@@ -339,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, required=True)
+    p.add_argument("--cap", type=_even_cap, required=True)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--workers", type=int, default=workers)
     _add_common(p)

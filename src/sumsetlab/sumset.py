@@ -11,6 +11,12 @@ hA - h*min(A). A step is k-1 big-int shifts and ORs, which beats
 set-based dedup by a wide margin in the dense regime this library scans.
 When the window is too wide for a bitmask the same fold runs on a Python
 set instead. Both paths are exact and check the size cap after every step.
+
+Exhaustive scans use `_fold_extensions`, which folds a prefix P once and
+then reads off |h(P u {x})| for many last elements x > max(P) with h
+shift-ORs each (the identity is in its docstring). Windows too wide for a
+bitmask go back through `_fold`, which stays the only place that picks
+between mask and set.
 """
 
 from __future__ import annotations
@@ -56,6 +62,51 @@ def _fold(elements: tuple[int, ...], h: int, cap: int) -> tuple[list[int], int |
             raise CapExceeded(f"sumset size {n} exceeds cap {cap}")
         sizes.append(n)
     return sizes, cur
+
+
+def _fold_extensions(
+    prefix: tuple[int, ...], h: int, lasts: range, cap: int = DEFAULT_SIZE_CAP
+) -> list[int]:
+    """[|h(P + (x,))| for x in lasts] for a sorted tuple P of distinct
+    integers and a nonempty range of last elements x > max(P).
+
+    h(P u {x}) is the union of (h-j)P + j*x over j = 0..h, with 0P = {0}.
+    With M_i the mask of iP - i*min(P) and d = x - min(P), the mask of
+    h(P u {x}) - h*min(P) is OR_j (M_{h-j} << j*d). P is folded once, and
+    each x then costs h shift-ORs and one bit_count. |jA| never decreases
+    in j, so checking the final size against the cap is the same as
+    `_fold` checking steps 2..h. Windows too wide for a bitmask go through
+    `_fold` one tuple at a time.
+    """
+    if h < 1:
+        raise ValueError("h must be positive")
+    base = prefix[0]
+    if h * (lasts[-1] - base) > _BITMASK_SPAN_LIMIT:
+        sizes = [_fold(prefix + (x,), h, cap)[0][-1] for x in lasts]
+    else:
+        shifts = [a - base for a in prefix[1:]]
+        cur = 1
+        for o in shifts:
+            cur |= 1 << o
+        masks = [cur]
+        for _ in range(h - 1):
+            nxt = cur
+            for o in shifts:
+                nxt |= cur << o
+            cur = nxt
+            masks.append(cur)
+        # Horner form: ((M_0 << d | M_1) << d | M_2) ... << d | M_h.
+        sizes = []
+        for x in lasts:
+            d = x - base
+            m = 1
+            for mask in masks:
+                m = (m << d) | mask
+            sizes.append(m.bit_count())
+    if h > 1 and max(sizes) > cap:
+        n = next(s for s in sizes if s > cap)
+        raise CapExceeded(f"sumset size {n} exceeds cap {cap}")
+    return sizes
 
 
 def fold_sizes(elements: tuple[int, ...], horizon: int, cap: int = DEFAULT_SIZE_CAP) -> list[int]:

@@ -49,6 +49,11 @@ PRECISION_SCHEDULE = (64, 128, 256, 512, 1024, 2048, 4096)
 
 DEFAULT_POWER_BIT_BUDGET = 1_000_000
 
+# Trial divisors `_factorize` may try (2, 3, 5, ..., 2*budget - 1): enough
+# for every integer whose cofactor after dividing out the primes below
+# 2*10^6 is below 4*10^12, so for every integer below 4*10^12.
+FACTOR_TRIAL_BUDGET = 1_000_000
+
 
 class PrecisionExhaustedError(RuntimeError):
     """An interval sign/floor query stayed ambiguous through the whole
@@ -215,10 +220,16 @@ def sum_to_product(S: IntegerSet, max_bits: int = DEFAULT_POWER_BIT_BUDGET) -> I
 
 
 def _factorize(n: int) -> dict[int, int]:
-    """Trial-division factorization; intended for desk-scale inputs."""
+    """Trial-division factorization; intended for desk-scale inputs. Raises
+    CapExceeded when it would need more than FACTOR_TRIAL_BUDGET divisors."""
     out: dict[int, int] = {}
     d = 2
+    last = 2 * FACTOR_TRIAL_BUDGET - 1
     while d * d <= n:
+        if d > last:
+            raise CapExceeded(
+                f"factoring needs more than {FACTOR_TRIAL_BUDGET} trial divisors (cofactor {n})"
+            )
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d

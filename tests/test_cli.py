@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sumsetlab
 from sumsetlab.cli import main
 
 
@@ -183,15 +188,59 @@ def test_computation_error_exit_code(capsys):
     assert code == 1
     assert "error:" in err
 
-    code, _, err = run_cli(capsys, ["lattice", "minima", "--set", "0,2,18,25",
-                                    "--count", "2", "--cap", "9"])
-    assert code == 1
-
 
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["sumset", "profile", "--horizon", "4"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("cap", ["9", "2", "0", "-4", "x"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lattice", "minima", "--set", "0,2,18,25", "--count", "2", "--cap"],
+        ["experiment", "minima-stats", "--n", "50", "--k", "4", "--samples", "3", "--cap"],
+        ["theory", "verify", "--set", "0,2,18,25", "--max-cap"],
+    ],
+)
+def test_bad_cap_is_usage_error(argv, cap, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [cap])
+    assert exc.value.code == 2
+    assert argv[-1] in capsys.readouterr().err
+
+
+def test_product_type_needs_an_integer_set(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["types", "type", "--product", "--set", "1/2,3", "--h", "2"])
+    assert exc.value.code == 2
+    assert "--set" in capsys.readouterr().err
+
+    code, out, _ = run_cli(capsys, ["types", "type", "--product", "--set", "3.0,2", "--h", "2"])
+    assert code == 0
+    _, expected, _ = run_cli(capsys, ["types", "type", "--product", "--set", "2,3", "--h", "2"])
+    assert out == expected
+
+
+def _module_run(argv):
+    package_root = Path(sumsetlab.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package_root), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "sumsetlab", *argv],
+                          capture_output=True, env=env)
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["sumset", "compute", "--set", "0,1", "--h", "2"]
+    code, out, _ = run_cli(capsys, argv)
+    proc = _module_run(argv)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out.encode()
+
+    proc = _module_run(["sumset", "compute", "--set", "1,x", "--h", "2"])
+    assert proc.returncode == 2
+    assert b"--set" in proc.stderr
 
 
 def test_csv_unavailable_is_reported(capsys):

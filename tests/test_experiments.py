@@ -2,7 +2,10 @@ import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from sumsetlab import experiments, sumset
 from sumsetlab.core import CapExceeded, binomial
 from sumsetlab.experiments import (
     ExperimentConfig,
@@ -11,6 +14,7 @@ from sumsetlab.experiments import (
     random_subset_experiment,
     type_census,
 )
+from sumsetlab.sumset import fold_size
 
 
 def brute_scan(n, k, h):
@@ -19,6 +23,88 @@ def brute_scan(n, k, h):
         sums = {sum(t) for t in itertools.product(combo, repeat=h)}
         counts[len(sums)] += 1
     return counts
+
+
+def scan_shard_oracle(args) -> Counter:
+    """Slow oracle: the per-subset scan shard, one fold_size per subset."""
+    n, k, h, first = args
+    counts: Counter = Counter()
+    for rest in itertools.combinations(range(first + 1, n + 1), k - 1):
+        counts[fold_size((first,) + rest, h)] += 1
+    return counts
+
+
+def _sizes_or_cap(compute):
+    try:
+        return compute()
+    except CapExceeded:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-40, 40), min_size=1, max_size=4, unique=True),
+    st.integers(1, 6),
+    st.integers(1, 30),
+    st.integers(1, 12),
+    st.integers(1, 3),
+    st.integers(1, 400),
+)
+@example(values=[5], h=3, gap=1, count=10, step=1, cap=10**8)  # k = 2: empty middle
+@example(values=[0, 7, 9], h=1, gap=1, count=5, step=1, cap=10**8)
+@example(values=[0, 7, 9], h=1, gap=1, count=5, step=1, cap=2)  # h = 1 never checks the cap
+@example(values=[0, 1], h=4, gap=1, count=6, step=1, cap=13)
+def test_fold_extensions_match_fold_size(values, h, gap, count, step, cap):
+    prefix = tuple(sorted(values))
+    lasts = range(prefix[-1] + gap, prefix[-1] + gap + count * step, step)
+
+    def oracle():
+        return [fold_size(prefix + (x,), h, cap) for x in lasts]
+
+    def kernel():
+        return sumset._fold_extensions(prefix, h, lasts, cap)
+
+    expected = _sizes_or_cap(oracle)
+    folded = []
+    fold = sumset._fold
+
+    def counting_fold(*args):
+        folded.append(args[0])
+        return fold(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sumset, "_fold", counting_fold)
+        assert _sizes_or_cap(kernel) == expected
+        assert folded == []
+        # A lowered span limit sends the kernel through _fold one tuple at
+        # a time: on the set path for every tuple (-1), or with the
+        # mask/set choice made per tuple (one bit below the widest window).
+        span = h * (lasts[-1] - prefix[0])
+        for limit in (-1, span - 1):
+            mp.setattr(sumset, "_BITMASK_SPAN_LIMIT", limit)
+            folded.clear()
+            assert _sizes_or_cap(kernel) == expected
+            if expected is not None:
+                assert folded == [prefix + (x,) for x in lasts]
+
+
+def test_fold_extensions_rejects_nonpositive_h():
+    for h in (0, -1):
+        with pytest.raises(ValueError):
+            sumset._fold_extensions((0, 1), h, range(2, 5))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_exhaustive_scan_matches_brute_force_and_per_subset_oracle(k, workers):
+    n, h = 10, 3
+    hist = exhaustive_scan(n, k, h, workers=workers)
+    expected = brute_scan(n, k, h)
+    assert hist.total == binomial(n, k) == sum(expected.values())
+    assert Counter(hist.counts) == expected
+    for first in range(1, n - k + 2):
+        shard = (n, k, h, first)
+        assert experiments._scan_shard(shard) == scan_shard_oracle(shard)
 
 
 def test_config_validation():

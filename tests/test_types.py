@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from sumsetlab import types
+from sumsetlab.cli import main
 from sumsetlab.core import CapExceeded, IntegerSet, RationalSet, binomial
 from sumsetlab.sumset import fold_size
 from sumsetlab.types import (
@@ -160,6 +162,31 @@ def test_product_type_needs_positive():
 def test_factorize():
     assert _factorize(360) == {2: 3, 3: 2, 5: 1}
     assert _factorize(97) == {97: 1}
+
+
+def test_factorize_budget(monkeypatch):
+    mersenne = 2**61 - 1  # prime: trial division would run to 2**30.5
+    with pytest.raises(CapExceeded):
+        _factorize(mersenne)
+    with pytest.raises(CapExceeded):
+        product_to_sum(IntegerSet([2, mersenne]), 1)
+    # within budget: every prime factor found, the cofactor certified prime
+    assert _factorize(1999993 * 1999993) == {1999993: 2}
+    assert _factorize(2**40 * 3**5 * 1_000_003) == {2: 40, 3: 5, 1_000_003: 1}
+
+    # budget 3 allows the trial divisors 2, 3 and 5
+    monkeypatch.setattr(types, "FACTOR_TRIAL_BUDGET", 3)
+    assert _factorize(2**5 * 3 * 25) == {2: 5, 3: 1, 5: 2}
+    assert _factorize(2 * 3 * 5 * 7) == {2: 1, 3: 1, 5: 1, 7: 1}
+    assert _factorize(29) == {29: 1}
+    for needs_seven in (49, 7 * 11, 11 * 13):
+        with pytest.raises(CapExceeded):
+            _factorize(needs_seven)
+
+
+def test_to_sum_budget_is_a_computation_error(capsys):
+    assert main(["types", "to-sum", "--set", f"2,{2**61 - 1}", "--h", "1"]) == 1
+    assert "trial divisors" in capsys.readouterr().err
 
 
 def test_log_linear_floor_and_rational_path():
