@@ -8,11 +8,13 @@ worker count, including 1. Statistics are accumulated as exact integer
 sums and only converted to floats in the final summary.
 
 The exhaustive scan is sharded by the first element of each subset and
-shares work between subsets with the same (k-1)-prefix P. With M_i the
-mask of iP - i*min(P), the mask of h(P u {x}) - h*min(P) for any x > max(P)
-is OR_{j=0..h} (M_{h-j} << j*(x - min(P))), since h(P u {x}) is the union of
-(h-j)P + j*x with 0P = {0}. So P is folded once and every last element
-costs h shift-ORs and one bit count (`sumset._fold_extensions`).
+walks each shard in lexicographic order, so consecutive subsets share
+their (k-1)-prefix P. With M_i the mask of iP - i*min(P), the mask of
+h(P u {x}) - h*min(P) for any x > max(P) is
+OR_{j=0..h} (M_{h-j} << j*(x - min(P))), since h(P u {x}) is the union of
+(h-j)P + j*x with 0P = {0}. `fold_size` keeps the masks of the last P it
+saw, so P is folded once and every last element costs h shift-ORs and one
+bit count.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .core import CapExceeded, IntegerSet, binomial
 from .lattice import find_minima
-from .sumset import _fold_extensions, fold_size
+from .sumset import fold_size
 from .theory import popular_sizes
 from .types import h_type
 
@@ -170,12 +172,10 @@ def random_subset_experiment(config: ExperimentConfig) -> tuple[Histogram, dict]
 
 def _scan_shard(args) -> Counter:
     n, k, h, first = args
-    prefixes = ((first,) + middle for middle in itertools.combinations(range(first + 1, n), k - 2))
-    # Counted straight from the per-prefix lists: a shard-wide list would
-    # hold up to C(n-1, k-1) sizes at once.
-    return Counter(itertools.chain.from_iterable(
-        _fold_extensions(prefix, h, range(prefix[-1] + 1, n + 1)) for prefix in prefixes
-    ))
+    counts: Counter = Counter()
+    for rest in itertools.combinations(range(first + 1, n + 1), k - 1):
+        counts[fold_size((first,) + rest, h)] += 1
+    return counts
 
 
 def exhaustive_scan(
@@ -183,10 +183,10 @@ def exhaustive_scan(
 ) -> Histogram:
     """Exact frequency of every |hA| over all C(n, k) subsets of {1..n}.
 
-    Each shard fixes the first element; for every (k-1)-prefix P the sizes
-    of all n - max(P) extensions P u {x} come from one fold of P via
-    h(P u {x}) - h*min(P) = U_j (M_{h-j} + j*(x - min(P))), where M_i is
-    iP - i*min(P). The result is identical for every worker count.
+    Each shard fixes the first element and sizes its subsets with one
+    `fold_size` call each, in lexicographic order, so consecutive calls
+    share their (k-1)-prefix and `fold_size` folds each prefix once. The
+    result is identical for every worker count.
     """
     total = binomial(n, k)
     if total > budget:

@@ -12,10 +12,11 @@ set-based dedup by a wide margin in the dense regime this library scans.
 When the window is too wide for a bitmask the same fold runs on a Python
 set instead. Both paths are exact and check the size cap after every step.
 
-Exhaustive scans use `_fold_extensions`, which folds a prefix P once and
-then reads off |h(P u {x})| for many last elements x > max(P) with h
-shift-ORs each (the identity is in its docstring). Windows too wide for a
-bitmask go back through `_fold`, which stays the only place that picks
+`fold_size` shares work between consecutive calls whose sets agree in
+all but their largest element, as the exhaustive scan's lexicographic
+order makes them: it keeps the fold of that prefix and reads off |hA| with
+h shift-ORs (the identity is in its docstring). Wider windows and every
+other caller go through `_fold`, which stays the only place that picks
 between mask and set.
 """
 
@@ -30,6 +31,12 @@ DEFAULT_SIZE_CAP = 100_000_000
 # Above this many bits the mask no longer fits comfortably in memory and
 # the sparse set path wins anyway.
 _BITMASK_SPAN_LIMIT = 1 << 26
+
+# fold_size keeps the prefix masks of its last call only for windows this
+# narrow: there the per-call fold is short enough that sharing it pays, and
+# the h kept masks stay small.
+_PREFIX_MEMO_SPAN_LIMIT = 1 << 12
+_last_prefix: tuple[tuple[int, ...], int, list[int]] = ((), 0, [])
 
 
 def _fold(elements: tuple[int, ...], h: int, cap: int) -> tuple[list[int], int | set[int]]:
@@ -64,49 +71,22 @@ def _fold(elements: tuple[int, ...], h: int, cap: int) -> tuple[list[int], int |
     return sizes, cur
 
 
-def _fold_extensions(
-    prefix: tuple[int, ...], h: int, lasts: range, cap: int = DEFAULT_SIZE_CAP
-) -> list[int]:
-    """[|h(P + (x,))| for x in lasts] for a sorted tuple P of distinct
-    integers and a nonempty range of last elements x > max(P).
-
-    h(P u {x}) is the union of (h-j)P + j*x over j = 0..h, with 0P = {0}.
-    With M_i the mask of iP - i*min(P) and d = x - min(P), the mask of
-    h(P u {x}) - h*min(P) is OR_j (M_{h-j} << j*d). P is folded once, and
-    each x then costs h shift-ORs and one bit_count. |jA| never decreases
-    in j, so checking the final size against the cap is the same as
-    `_fold` checking steps 2..h. Windows too wide for a bitmask go through
-    `_fold` one tuple at a time.
-    """
-    if h < 1:
-        raise ValueError("h must be positive")
+def _prefix_masks(prefix: tuple[int, ...], h: int) -> list[int]:
+    """[M_1, ..., M_h], with M_j the bitmask of jP - j*min(P), for a sorted
+    tuple P of distinct integers."""
     base = prefix[0]
-    if h * (lasts[-1] - base) > _BITMASK_SPAN_LIMIT:
-        sizes = [_fold(prefix + (x,), h, cap)[0][-1] for x in lasts]
-    else:
-        shifts = [a - base for a in prefix[1:]]
-        cur = 1
+    shifts = [a - base for a in prefix[1:]]
+    cur = 1
+    for o in shifts:
+        cur |= 1 << o
+    masks = [cur]
+    for _ in range(h - 1):
+        nxt = cur
         for o in shifts:
-            cur |= 1 << o
-        masks = [cur]
-        for _ in range(h - 1):
-            nxt = cur
-            for o in shifts:
-                nxt |= cur << o
-            cur = nxt
-            masks.append(cur)
-        # Horner form: ((M_0 << d | M_1) << d | M_2) ... << d | M_h.
-        sizes = []
-        for x in lasts:
-            d = x - base
-            m = 1
-            for mask in masks:
-                m = (m << d) | mask
-            sizes.append(m.bit_count())
-    if h > 1 and max(sizes) > cap:
-        n = next(s for s in sizes if s > cap)
-        raise CapExceeded(f"sumset size {n} exceeds cap {cap}")
-    return sizes
+            nxt |= cur << o
+        cur = nxt
+        masks.append(cur)
+    return masks
 
 
 def fold_sizes(elements: tuple[int, ...], horizon: int, cap: int = DEFAULT_SIZE_CAP) -> list[int]:
@@ -117,8 +97,32 @@ def fold_sizes(elements: tuple[int, ...], horizon: int, cap: int = DEFAULT_SIZE_
 
 
 def fold_size(elements: tuple[int, ...], h: int, cap: int = DEFAULT_SIZE_CAP) -> int:
-    """|hA| for a sorted tuple of distinct integers."""
-    return _fold(elements, h, cap)[0][-1]
+    """|hA| for a sorted tuple of distinct integers.
+
+    Write A = P u {x} with x = max(A). hA is the union of (h-j)P + j*x over
+    j = 0..h, with 0P = {0}, so with M_j the mask of jP - j*min(P) and
+    d = x - min(P) the mask of hA - h*min(A) is OR_j (M_{h-j} << j*d).
+    For windows of at most _PREFIX_MEMO_SPAN_LIMIT bits the masks of the
+    last prefix P are kept, and a call with the same P and h costs h
+    shift-ORs and one bit_count. |jA| never decreases in j, so a final
+    size within the cap means every step was; a size above it is refolded
+    by `_fold`, which raises the same CapExceeded as an unshared fold.
+    """
+    global _last_prefix
+    prefix, d = elements[:-1], elements[-1] - elements[0]
+    if h < 2 or not prefix or h * d > _PREFIX_MEMO_SPAN_LIMIT:
+        return _fold(elements, h, cap)[0][-1]
+    last, last_h, masks = _last_prefix
+    if prefix != last or h != last_h:
+        masks = _prefix_masks(prefix, h)
+        _last_prefix = (prefix, h, masks)
+    m = 1
+    for mask in masks:
+        m = (m << d) | mask
+    n = m.bit_count()
+    if n > cap:
+        return _fold(elements, h, cap)[0][-1]
+    return n
 
 
 def h_fold_sumset(A: IntegerSet, h: int, cap: int = DEFAULT_SIZE_CAP) -> IntegerSet:

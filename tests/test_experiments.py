@@ -26,19 +26,23 @@ def brute_scan(n, k, h):
 
 
 def scan_shard_oracle(args) -> Counter:
-    """Slow oracle: the per-subset scan shard, one fold_size per subset."""
+    """Slow oracle: the per-subset scan shard, one unshared fold per subset."""
     n, k, h, first = args
     counts: Counter = Counter()
     for rest in itertools.combinations(range(first + 1, n + 1), k - 1):
-        counts[fold_size((first,) + rest, h)] += 1
+        counts[sumset._fold((first,) + rest, h, sumset.DEFAULT_SIZE_CAP)[0][-1]] += 1
     return counts
 
 
-def _sizes_or_cap(compute):
+def _size_or_cap(elements, h, cap, size=fold_size):
     try:
-        return compute()
+        return size(elements, h, cap)
     except CapExceeded:
         return None
+
+
+def _unshared_size(elements, h, cap):
+    return sumset._fold(elements, h, cap)[0][-1]
 
 
 @settings(max_examples=200, deadline=None)
@@ -50,48 +54,59 @@ def _sizes_or_cap(compute):
     st.integers(1, 3),
     st.integers(1, 400),
 )
-@example(values=[5], h=3, gap=1, count=10, step=1, cap=10**8)  # k = 2: empty middle
+@example(values=[5], h=3, gap=1, count=10, step=1, cap=10**8)  # k = 2: one-element prefix
 @example(values=[0, 7, 9], h=1, gap=1, count=5, step=1, cap=10**8)
 @example(values=[0, 7, 9], h=1, gap=1, count=5, step=1, cap=2)  # h = 1 never checks the cap
 @example(values=[0, 1], h=4, gap=1, count=6, step=1, cap=13)
-def test_fold_extensions_match_fold_size(values, h, gap, count, step, cap):
+def test_shared_prefix_fold_size_matches_unshared_fold(values, h, gap, count, step, cap):
     prefix = tuple(sorted(values))
-    lasts = range(prefix[-1] + gap, prefix[-1] + gap + count * step, step)
-
-    def oracle():
-        return [fold_size(prefix + (x,), h, cap) for x in lasts]
-
-    def kernel():
-        return sumset._fold_extensions(prefix, h, lasts, cap)
-
-    expected = _sizes_or_cap(oracle)
-    folded = []
-    fold = sumset._fold
+    tuples = [prefix + (x,) for x in range(prefix[-1] + gap, prefix[-1] + gap + count * step, step)]
+    expected = [_size_or_cap(t, h, cap, _unshared_size) for t in tuples]
+    folded, masked = [], []
+    fold, prefix_masks = sumset._fold, sumset._prefix_masks
 
     def counting_fold(*args):
         folded.append(args[0])
         return fold(*args)
 
+    def counting_prefix_masks(*args):
+        masked.append(args[0])
+        return prefix_masks(*args)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sumset, "_fold", counting_fold)
-        assert _sizes_or_cap(kernel) == expected
-        assert folded == []
-        # A lowered span limit sends the kernel through _fold one tuple at
-        # a time: on the set path for every tuple (-1), or with the
-        # mask/set choice made per tuple (one bit below the widest window).
-        span = h * (lasts[-1] - prefix[0])
+        mp.setattr(sumset, "_prefix_masks", counting_prefix_masks)
+        mp.setattr(sumset, "_last_prefix", ((), 0, []))
+        assert [_size_or_cap(t, h, cap) for t in tuples] == expected
+        # The prefix is folded once; _fold only sizes h = 1 and the
+        # tuples whose size exceeds the cap (to raise).
+        assert masked == ([] if h == 1 else [prefix])
+        assert folded == [t for t, e in zip(tuples, expected) if h == 1 or e is None]
+        # A lowered limit sends every tuple (-1), or the widest one, through
+        # _fold, which then makes the mask/set choice itself.
+        span = h * (tuples[-1][-1] - prefix[0])
         for limit in (-1, span - 1):
-            mp.setattr(sumset, "_BITMASK_SPAN_LIMIT", limit)
+            mp.setattr(sumset, "_PREFIX_MEMO_SPAN_LIMIT", limit)
+            mp.setattr(sumset, "_last_prefix", ((), 0, []))
             folded.clear()
-            assert _sizes_or_cap(kernel) == expected
-            if expected is not None:
-                assert folded == [prefix + (x,) for x in lasts]
+            assert [_size_or_cap(t, h, cap) for t in tuples] == expected
+            if h > 1 and limit == -1:
+                assert folded == tuples
 
 
-def test_fold_extensions_rejects_nonpositive_h():
-    for h in (0, -1):
-        with pytest.raises(ValueError):
-            sumset._fold_extensions((0, 1), h, range(2, 5))
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 3), st.integers(1, 5), st.integers(1, 20)), min_size=1, max_size=30
+    ),
+    st.integers(5, 400),
+)
+def test_fold_size_memo_follows_prefix_and_h(calls, cap):
+    # Interleaved prefixes and horizons: a stale prefix or h must never be used.
+    prefixes = [(0,), (0, 3), (1, 2), (-4, 0, 5)]
+    for i, h, gap in calls:
+        elements = prefixes[i] + (prefixes[i][-1] + gap,)
+        assert _size_or_cap(elements, h, cap) == _size_or_cap(elements, h, cap, _unshared_size)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
