@@ -81,6 +81,17 @@ def _even_cap(text: str) -> int:
     return cap
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for --workers: an integer >= 1, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.add_argument("--out", help="write the report to this path instead of stdout")
@@ -340,14 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=workers)
+    p.add_argument("--workers", type=_positive_int, default=workers)
     _add_common(p)
     p.set_defaults(func=_cmd_exp_random)
     p = sub.add_parser("scan", help="|hA| histogram over all k-subsets of [n]")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
-    p.add_argument("--workers", type=int, default=workers)
+    p.add_argument("--workers", type=_positive_int, default=workers)
     _add_common(p)
     p.set_defaults(func=_cmd_exp_scan)
     p = sub.add_parser("minima-stats", help="first-minima statistics over random subsets")
@@ -357,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", type=_even_cap, required=True)
     p.add_argument("--count", type=int, default=1)
-    p.add_argument("--workers", type=int, default=workers)
+    p.add_argument("--workers", type=_positive_int, default=workers)
     _add_common(p)
     p.set_defaults(func=_cmd_exp_minima)
     p = sub.add_parser("type-census", help="distinct h-types over all k-subsets of [n]")

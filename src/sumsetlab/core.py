@@ -16,7 +16,8 @@ DEFAULT_COMPOSITION_CAP = 10_000_000
 
 
 class CapExceeded(RuntimeError):
-    """A configured enumeration or cardinality budget would be exceeded."""
+    """A budget would be exceeded. Every budget is a module constant that
+    its check reads at call time; the README's Budgets section lists them."""
 
 
 def _integral(value) -> int:
@@ -140,22 +141,21 @@ def composition_count(t: int, k: int) -> int:
     return binomial(t + k - 1, k - 1)
 
 
-def enumerate_compositions(t: int, k: int, cap: int | None = None) -> list[tuple[int, ...]]:
+def enumerate_compositions(t: int, k: int) -> list[tuple[int, ...]]:
     """All nonnegative integer k-vectors with coordinate sum t, ascending
     lexicographic.
 
     The order is part of the contract: type partitions are canonical only
     because every caller sees compositions in this exact order. Raises
-    CapExceeded when the count would pass `cap` (default 10**7).
+    CapExceeded when the count would pass DEFAULT_COMPOSITION_CAP.
     """
     if t < 0:
         raise ValueError("composition sum must be nonnegative")
     if k < 1:
         raise ValueError("composition length must be positive")
     total = composition_count(t, k)
-    limit = DEFAULT_COMPOSITION_CAP if cap is None else cap
-    if total > limit:
-        raise CapExceeded(f"{total} compositions exceed the cap of {limit}")
+    if total > DEFAULT_COMPOSITION_CAP:
+        raise CapExceeded(f"{total} compositions exceed the cap of {DEFAULT_COMPOSITION_CAP}")
 
     out: list[tuple[int, ...]] = []
     vec = [0] * k

@@ -128,7 +128,9 @@ def _random_shard(args) -> Counter:
 
 
 def _run_sharded(jobs, worker, workers: int):
-    if workers <= 1:
+    if workers < 1:
+        raise ValueError("workers must be positive")
+    if workers == 1:
         return [worker(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, jobs))
@@ -178,9 +180,19 @@ def _scan_shard(args) -> Counter:
     return counts
 
 
-def exhaustive_scan(
-    n: int, k: int, h: int, workers: int = 1, budget: int = DEFAULT_SUBSET_BUDGET
-) -> Histogram:
+def _subset_count(n: int, k: int) -> int:
+    """C(n, k), checked against DEFAULT_SUBSET_BUDGET."""
+    total = binomial(n, k)
+    if total > DEFAULT_SUBSET_BUDGET:
+        raise CapExceeded(
+            f"C({n},{k}) = {total} subsets exceed the budget of {DEFAULT_SUBSET_BUDGET}"
+        )
+    if total == 0:
+        raise ValueError("no subsets to scan")
+    return total
+
+
+def exhaustive_scan(n: int, k: int, h: int, workers: int = 1) -> Histogram:
     """Exact frequency of every |hA| over all C(n, k) subsets of {1..n}.
 
     Each shard fixes the first element and sizes its subsets with one
@@ -188,11 +200,7 @@ def exhaustive_scan(
     share their (k-1)-prefix and `fold_size` folds each prefix once. The
     result is identical for every worker count.
     """
-    total = binomial(n, k)
-    if total > budget:
-        raise CapExceeded(f"C({n},{k}) = {total} subsets exceed the budget of {budget}")
-    if total == 0:
-        raise ValueError("no subsets to scan")
+    total = _subset_count(n, k)
     jobs = [(n, k, h, first) for first in range(1, n - k + 2)]
     merged: Counter = Counter()
     for part in _run_sharded(jobs, _scan_shard, workers):
@@ -291,18 +299,12 @@ def minima_statistics(
     }
 
 
-def type_census(
-    n: int, k: int, h: int, budget: int = DEFAULT_SUBSET_BUDGET
-) -> tuple[int, list[IntegerSet]]:
+def type_census(n: int, k: int, h: int) -> tuple[int, list[IntegerSet]]:
     """Distinct h-types over all k-subsets of {1..n}, with the
     lexicographically least representative of each type, in order of
     first appearance. The count is a lower bound for the number of types
     over all of Z, not an answer to how many exist."""
-    total = binomial(n, k)
-    if total > budget:
-        raise CapExceeded(f"C({n},{k}) = {total} subsets exceed the budget of {budget}")
-    if total == 0:
-        raise ValueError("no subsets to scan")
+    _subset_count(n, k)
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     for combo in itertools.combinations(range(1, n + 1), k):
         part = h_type(IntegerSet(combo), h)

@@ -10,7 +10,8 @@ on a bitmask of the (h*diam + 1)-bit window [0, h*diam] that holds
 hA - h*min(A). A step is k-1 big-int shifts and ORs, which beats
 set-based dedup by a wide margin in the dense regime this library scans.
 When the window is too wide for a bitmask the same fold runs on a Python
-set instead. Both paths are exact and check the size cap after every step.
+set instead. Both paths are exact and check every step's size against
+DEFAULT_SIZE_CAP, read at call time.
 
 `fold_size` shares work between consecutive calls whose sets agree in
 all but their largest element, as the exhaustive scan's lexicographic
@@ -39,11 +40,12 @@ _PREFIX_MEMO_SPAN_LIMIT = 1 << 12
 _last_prefix: tuple[tuple[int, ...], int, list[int]] = ((), 0, [])
 
 
-def _fold(elements: tuple[int, ...], h: int, cap: int) -> tuple[list[int], int | set[int]]:
+def _fold(elements: tuple[int, ...], h: int) -> tuple[list[int], int | set[int]]:
     """Sizes [|1A|, ..., |hA|] for a sorted tuple of distinct integers,
     plus hA - h*min(A): a bitmask if its span fits the limit, else a set."""
     if h < 1:
         raise ValueError("h must be positive")
+    cap = DEFAULT_SIZE_CAP
     base = elements[0]
     offsets = tuple(a - base for a in elements)
     shifts = offsets[1:]
@@ -89,14 +91,14 @@ def _prefix_masks(prefix: tuple[int, ...], h: int) -> list[int]:
     return masks
 
 
-def fold_sizes(elements: tuple[int, ...], horizon: int, cap: int = DEFAULT_SIZE_CAP) -> list[int]:
+def fold_sizes(elements: tuple[int, ...], horizon: int) -> list[int]:
     """[|1A|, |2A|, ..., |HA|] in one incremental pass, for a sorted tuple
     of distinct integers. Fast path for loops that do not need the
     IntegerSet wrapper."""
-    return _fold(elements, horizon, cap)[0]
+    return _fold(elements, horizon)[0]
 
 
-def fold_size(elements: tuple[int, ...], h: int, cap: int = DEFAULT_SIZE_CAP) -> int:
+def fold_size(elements: tuple[int, ...], h: int) -> int:
     """|hA| for a sorted tuple of distinct integers.
 
     Write A = P u {x} with x = max(A). hA is the union of (h-j)P + j*x over
@@ -111,7 +113,7 @@ def fold_size(elements: tuple[int, ...], h: int, cap: int = DEFAULT_SIZE_CAP) ->
     global _last_prefix
     prefix, d = elements[:-1], elements[-1] - elements[0]
     if h < 2 or not prefix or h * d > _PREFIX_MEMO_SPAN_LIMIT:
-        return _fold(elements, h, cap)[0][-1]
+        return _fold(elements, h)[0][-1]
     last, last_h, masks = _last_prefix
     if prefix != last or h != last_h:
         masks = _prefix_masks(prefix, h)
@@ -120,14 +122,14 @@ def fold_size(elements: tuple[int, ...], h: int, cap: int = DEFAULT_SIZE_CAP) ->
     for mask in masks:
         m = (m << d) | mask
     n = m.bit_count()
-    if n > cap:
-        return _fold(elements, h, cap)[0][-1]
+    if n > DEFAULT_SIZE_CAP:
+        return _fold(elements, h)[0][-1]
     return n
 
 
-def h_fold_sumset(A: IntegerSet, h: int, cap: int = DEFAULT_SIZE_CAP) -> IntegerSet:
+def h_fold_sumset(A: IntegerSet, h: int) -> IntegerSet:
     """The set hA = {b_1 + ... + b_h : b_i in A}, as a sorted IntegerSet."""
-    _, final = _fold(A.elements, h, cap)
+    _, final = _fold(A.elements, h)
     shift = h * A.elements[0]
     if isinstance(final, set):
         return IntegerSet(s + shift for s in final)
@@ -174,12 +176,12 @@ class SumsetProfile:
         }
 
 
-def sumset_profile(A: IntegerSet, horizon: int, cap: int = DEFAULT_SIZE_CAP) -> SumsetProfile:
+def sumset_profile(A: IntegerSet, horizon: int) -> SumsetProfile:
     """Exact size/deficit profile of A for h = 1..horizon."""
     if A.k < 2:
         raise ValueError("profile requires at least two elements")
     k = A.k
-    sizes = tuple(fold_sizes(A.elements, horizon, cap))
+    sizes = tuple(fold_sizes(A.elements, horizon))
     deficits = tuple(binomial(h + k - 1, k - 1) - sizes[h - 1] for h in range(1, horizon + 1))
     diffs = tuple(deficits[i] - deficits[i - 1] for i in range(1, horizon))
 

@@ -29,10 +29,11 @@ Three transports are implemented, all exact:
     its coefficient vector (class LogLinear). Equality against a rational
     is decided by the coefficients alone (the basis is linearly
     independent over Q by unique factorization); strict comparisons are
-    decided by interval evaluation at escalating precision, which must
-    terminate because only nonzero values reach it. The output set is
-    verified against the product type by exact big-integer products
-    before being returned.
+    decided by interval evaluation at escalating precision. Only nonzero
+    values reach it, so some precision settles each one; past the last
+    entry of PRECISION_SCHEDULE it raises PrecisionExhaustedError. The
+    output set is verified against the product type by exact big-integer
+    products before being returned.
 """
 
 from __future__ import annotations
@@ -54,8 +55,13 @@ DEFAULT_POWER_BIT_BUDGET = 1_000_000
 # 2*10^6 is below 4*10^12, so for every integer below 4*10^12.
 FACTOR_TRIAL_BUDGET = 1_000_000
 
+# Dilation steps the box-collision scan may take. The pigeonhole bound
+# (2h)**(k-2) + 1 outgrows any time budget once k is large (12**12 + 1 for
+# k = 14, h = 6), and each step adds an entry to the scan's `seen` dict.
+DILATION_STEP_BUDGET = 200_000
 
-class PrecisionExhaustedError(RuntimeError):
+
+class PrecisionExhaustedError(CapExceeded):
     """An interval sign/floor query stayed ambiguous through the whole
     precision schedule."""
 
@@ -91,18 +97,18 @@ def _partition_by(keys) -> tuple[int, ...]:
     return tuple(out)
 
 
-def h_type(A, h: int, cap: int | None = None) -> TypePartition:
+def h_type(A, h: int) -> TypePartition:
     """The h-type of an IntegerSet or RationalSet."""
     if h < 1:
         raise ValueError("h must be positive")
     vals = A.elements
     k = len(vals)
-    comps = enumerate_compositions(h, k, cap)
+    comps = enumerate_compositions(h, k)
     ids = _partition_by(sum(c * v for c, v in zip(comp, vals)) for comp in comps)
     return TypePartition(h, k, ids)
 
 
-def product_type(P: IntegerSet, h: int, cap: int | None = None) -> TypePartition:
+def product_type(P: IntegerSet, h: int) -> TypePartition:
     """The multiplicative h-type: compositions partitioned by the exact
     product prod p_i**c_i. Elements must be positive."""
     if h < 1:
@@ -111,7 +117,7 @@ def product_type(P: IntegerSet, h: int, cap: int | None = None) -> TypePartition
         raise ValueError("product types need positive elements")
     vals = P.elements
     k = len(vals)
-    comps = enumerate_compositions(h, k, cap)
+    comps = enumerate_compositions(h, k)
 
     def key(comp):
         v = 1
@@ -162,12 +168,30 @@ def _nearest_int(v: Fraction) -> int:
     return (2 * v.numerator + v.denominator) // (2 * v.denominator)
 
 
+def _collision_dilation(values, floor_scaled, q0: int, h: int) -> int:
+    """A dilation Q, a positive multiple of q0, with every Q*v within
+    1/(2h) of an integer. The fractional parts of q*q0*v, q = 0, 1, ...,
+    are binned into boxes of side 1/(2h) (floor_scaled(v, m) is floor(m*v));
+    when step q revisits the box of step p, Q = (q - p)*q0. Raises
+    CapExceeded after DILATION_STEP_BUDGET steps without a collision."""
+    twoh = 2 * h
+    seen: dict[tuple[int, ...], int] = {}
+    for q in range(DILATION_STEP_BUDGET):
+        scale = q * q0 * twoh
+        box = tuple(floor_scaled(v, scale) % twoh for v in values)
+        if box in seen:
+            return (q - seen[box]) * q0
+        seen[box] = q
+    raise CapExceeded(f"no box collision within {DILATION_STEP_BUDGET} dilation steps")
+
+
 def embed_real_to_integers(X, h: int) -> tuple[IntegerSet, EmbeddingTrace]:
     """A set of nonnegative integers with exactly the h-type of X.
 
     X may be a RationalSet or IntegerSet with k >= 2. The collision is
     guaranteed within (2h)**(k-2) + 1 dilation steps (that many fractional
-    part vectors, one fewer boxes), so the loop always terminates.
+    part vectors, one fewer boxes); a scan that reaches
+    DILATION_STEP_BUDGET steps first raises CapExceeded.
     """
     if h < 1:
         raise ValueError("h must be positive")
@@ -179,18 +203,7 @@ def embed_real_to_integers(X, h: int) -> tuple[IntegerSet, EmbeddingTrace]:
 
     sep = separation(RationalSet(xs), h)
     q0 = math.ceil(Fraction(2) / sep)
-    twoh = 2 * h
-
-    seen: dict[tuple[int, ...], int] = {}
-    q = 0
-    while True:
-        scale = q * q0 * twoh
-        box = tuple((scale * x).__floor__() % twoh for x in xs[1:-1])
-        if box in seen:
-            Q = (q - seen[box]) * q0
-            break
-        seen[box] = q
-        q += 1
+    Q = _collision_dilation(xs[1:-1], lambda x, m: (m * x).__floor__(), q0, h)
 
     members = []
     epsilons = []
@@ -205,13 +218,16 @@ def embed_real_to_integers(X, h: int) -> tuple[IntegerSet, EmbeddingTrace]:
     return A, EmbeddingTrace(q0, Q, tuple(epsilons), A)
 
 
-def sum_to_product(S: IntegerSet, max_bits: int = DEFAULT_POWER_BIT_BUDGET) -> IntegerSet:
+def sum_to_product(S: IntegerSet) -> IntegerSet:
     """{2**s : s in S}; equal h-fold sums of S become equal h-fold
-    products, for every h at once."""
+    products, for every h at once. Exponents above
+    DEFAULT_POWER_BIT_BUDGET raise CapExceeded."""
     if S.elements[0] < 0:
         raise ValueError("exponents must be nonnegative")
-    if S.elements[-1] > max_bits:
-        raise CapExceeded(f"2**{S.elements[-1]} exceeds the {max_bits}-bit budget")
+    if S.elements[-1] > DEFAULT_POWER_BIT_BUDGET:
+        raise CapExceeded(
+            f"2**{S.elements[-1]} exceeds the {DEFAULT_POWER_BIT_BUDGET}-bit budget"
+        )
     return IntegerSet(1 << s for s in S.elements)
 
 
@@ -303,32 +319,35 @@ class LogLinear:
                 hi += c * blo
         return lo, hi
 
-    def floor(self, schedule: tuple[int, ...] = PRECISION_SCHEDULE) -> int:
+    def floor(self) -> int:
         """Exact floor. Rational values short-circuit; irrational values
-        are never integers, so interval refinement terminates."""
+        are never integers, so interval refinement settles at some
+        precision, and PrecisionExhaustedError is raised when no entry of
+        PRECISION_SCHEDULE does."""
         if self.is_rational:
             return self.rat.__floor__()
-        for bits in schedule:
+        for bits in PRECISION_SCHEDULE:
             lo, hi = self.bounds(bits)
             flo = lo.__floor__()
             if flo == hi.__floor__():
                 return flo
-        raise PrecisionExhaustedError("floor of a log-linear value", schedule)
+        raise PrecisionExhaustedError("floor of a log-linear value", PRECISION_SCHEDULE)
 
-    def sign_lower_bound(self, schedule: tuple[int, ...] = PRECISION_SCHEDULE) -> Fraction:
-        """A positive rational lower bound for a value known to be > 0."""
+    def sign_lower_bound(self) -> Fraction:
+        """A positive rational lower bound for a value known to be > 0,
+        from the first precision in PRECISION_SCHEDULE that yields one."""
         if self.is_rational:
             if self.rat <= 0:
                 raise ValueError("value is not positive")
             return self.rat
-        for bits in schedule:
+        for bits in PRECISION_SCHEDULE:
             lo, _ = self.bounds(bits)
             if lo > 0:
                 return lo
-        raise PrecisionExhaustedError("lower bound of a log-linear value", schedule)
+        raise PrecisionExhaustedError("lower bound of a log-linear value", PRECISION_SCHEDULE)
 
 
-def product_to_sum(P: IntegerSet, h: int, schedule: tuple[int, ...] = PRECISION_SCHEDULE) -> IntegerSet:
+def product_to_sum(P: IntegerSet, h: int) -> IntegerSet:
     """A set of nonnegative integers whose additive h-type equals the
     multiplicative h-type of P (elements positive, k >= 2).
 
@@ -356,24 +375,13 @@ def product_to_sum(P: IntegerSet, h: int, schedule: tuple[int, ...] = PRECISION_
         raise ValueError("all h-fold products coincide")
     sep_lb = None
     for m1, m2 in zip(prods, prods[1:]):
-        gap = LogLinear.log2_of(m2).minus(LogLinear.log2_of(m1)).sign_lower_bound(schedule)
+        gap = LogLinear.log2_of(m2).minus(LogLinear.log2_of(m1)).sign_lower_bound()
         sep_lb = gap if sep_lb is None else min(sep_lb, gap)
     q0 = math.ceil(Fraction(2) / sep_lb)
-    twoh = 2 * h
-
-    seen: dict[tuple[int, ...], int] = {}
-    q = 0
-    while True:
-        scale = q * q0 * twoh
-        box = tuple(l.scaled(scale).floor(schedule) % twoh for l in logs)
-        if box in seen:
-            Q = (q - seen[box]) * q0
-            break
-        seen[box] = q
-        q += 1
+    Q = _collision_dilation(logs, lambda l, m: l.scaled(m).floor(), q0, h)
 
     half = Fraction(1, 2)
-    members = [l.scaled(Q).plus_rational(half).floor(schedule) for l in logs]
+    members = [l.scaled(Q).plus_rational(half).floor() for l in logs]
     A = IntegerSet(members)
     if A.k != k or h_type(A, h) != target:
         raise AssertionError("log-linear transport produced a wrong type; this is a bug")

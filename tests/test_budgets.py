@@ -1,0 +1,84 @@
+"""Every budget is a module constant that its check reads at call time and
+that raises CapExceeded; no public signature takes a budget keyword, and
+the README's Budgets section lists every constant with its value."""
+
+import ast
+import inspect
+import re
+from pathlib import Path
+
+import sumsetlab
+from sumsetlab import core, experiments, lattice, sumset, theory, types
+
+MODULES = (core, sumset, lattice, theory, types, experiments)
+BUDGET_PARAMS = {"cap", "budget", "max_bits", "schedule"}
+# Certified search radii that callers set per call (--cap, --max-cap),
+# and the report field that records one; not budgets. find_minima and
+# verify_main_theorem name theirs max_cap.
+SEARCH_RADII = {
+    ("MinimaReport", "cap"),
+    ("lattice_shells", "cap"),
+    ("successive_minima", "cap"),
+    ("minima_statistics", "cap"),
+}
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _public_callables():
+    for name in sumsetlab.__all__:
+        yield name, getattr(sumsetlab, name)
+    for module in MODULES:
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield name, obj
+            elif inspect.isclass(obj):
+                yield name, obj
+                for attr in vars(obj):
+                    if not attr.startswith("_") and inspect.isroutine(getattr(obj, attr)):
+                        yield f"{name}.{attr}", getattr(obj, attr)
+
+
+def _parameters(obj):
+    try:
+        return inspect.signature(obj).parameters
+    except ValueError:  # classes that only inherit a builtin constructor
+        return {}
+
+
+def test_no_public_budget_keywords():
+    checked = set()
+    offenders = []
+    for name, obj in _public_callables():
+        checked.add(name)
+        for param in _parameters(obj):
+            if param in BUDGET_PARAMS and (name, param) not in SEARCH_RADII:
+                offenders.append(f"{name}({param})")
+    assert {"fold_size", "fold_sizes", "LogLinear.floor", "LogLinear.sign_lower_bound"} <= checked
+    assert offenders == []
+
+
+def _budget_constants():
+    pattern = re.compile(r"[A-Z][A-Z0-9_]*_(CAP|BUDGET|SCHEDULE)")
+    for module in MODULES:
+        for name, value in vars(module).items():
+            if pattern.fullmatch(name):
+                yield f"{module.__name__.rsplit('.', 1)[1]}.{name}", value
+
+
+def test_readme_lists_every_budget_constant():
+    text = README.read_text()
+    section = text.split("\n## Budgets\n", 1)[1].split("\n## ", 1)[0]
+    listed = {name: ast.literal_eval(value) for name, value in re.findall(r"`(\w+\.\w+) = ([^`]+)`", section)}
+    constants = dict(_budget_constants())
+    assert {
+        "core.DEFAULT_COMPOSITION_CAP",
+        "sumset.DEFAULT_SIZE_CAP",
+        "experiments.DEFAULT_SUBSET_BUDGET",
+        "types.DEFAULT_POWER_BIT_BUDGET",
+        "types.PRECISION_SCHEDULE",
+        "types.FACTOR_TRIAL_BUDGET",
+        "types.DILATION_STEP_BUDGET",
+    } <= constants.keys()
+    assert listed == constants

@@ -211,6 +211,22 @@ def test_bad_cap_is_usage_error(argv, cap, capsys):
     assert argv[-1] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", ["0", "-3", "x"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "random", "--n", "10", "--k", "3", "--h", "2", "--samples", "5"],
+        ["experiment", "scan", "--n", "10", "--k", "3", "--h", "2"],
+        ["experiment", "minima-stats", "--n", "50", "--k", "4", "--samples", "3", "--cap", "64"],
+    ],
+)
+def test_bad_workers_is_usage_error(argv, workers, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"--workers={workers}"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_product_type_needs_an_integer_set(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["types", "type", "--product", "--set", "1/2,3", "--h", "2"])

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sumsetlab import core
 from sumsetlab.core import (
     CapExceeded,
     IntegerSet,
@@ -52,9 +53,10 @@ def test_compositions_lex_order_and_counts():
     assert composition_count(10, 4) == 286
 
 
-def test_compositions_cap():
+def test_compositions_cap(monkeypatch):
+    monkeypatch.setattr(core, "DEFAULT_COMPOSITION_CAP", 1000)
     with pytest.raises(CapExceeded):
-        enumerate_compositions(100, 6, cap=1000)
+        enumerate_compositions(100, 6)
 
 
 def test_integer_set_sorts_and_dedupes():

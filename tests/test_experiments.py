@@ -30,19 +30,21 @@ def scan_shard_oracle(args) -> Counter:
     n, k, h, first = args
     counts: Counter = Counter()
     for rest in itertools.combinations(range(first + 1, n + 1), k - 1):
-        counts[sumset._fold((first,) + rest, h, sumset.DEFAULT_SIZE_CAP)[0][-1]] += 1
+        counts[sumset._fold((first,) + rest, h)[0][-1]] += 1
     return counts
 
 
 def _size_or_cap(elements, h, cap, size=fold_size):
-    try:
-        return size(elements, h, cap)
-    except CapExceeded:
-        return None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sumset, "DEFAULT_SIZE_CAP", cap)
+        try:
+            return size(elements, h)
+        except CapExceeded:
+            return None
 
 
-def _unshared_size(elements, h, cap):
-    return sumset._fold(elements, h, cap)[0][-1]
+def _unshared_size(elements, h):
+    return sumset._fold(elements, h)[0][-1]
 
 
 @settings(max_examples=200, deadline=None)
@@ -146,9 +148,16 @@ def test_exhaustive_scan_worker_invariance():
     assert h1.total == h2.total
 
 
-def test_exhaustive_budget():
+def test_exhaustive_budget(monkeypatch):
+    monkeypatch.setattr(experiments, "DEFAULT_SUBSET_BUDGET", 1000)
     with pytest.raises(CapExceeded):
-        exhaustive_scan(1000, 4, 6, budget=1000)
+        exhaustive_scan(1000, 4, 6)
+
+
+def test_exhaustive_scan_rejects_nonpositive_workers():
+    for workers in (0, -3):
+        with pytest.raises(ValueError):
+            exhaustive_scan(10, 3, 2, workers=workers)
 
 
 def test_random_experiment_deterministic_across_workers():
@@ -234,6 +243,8 @@ def test_minima_statistics_validation():
         minima_statistics(50, 4, 10, seed=1, cap=64, count=3)
     with pytest.raises(ValueError):
         minima_statistics(50, 4, 0, seed=1, cap=64)
+    with pytest.raises(ValueError):
+        minima_statistics(50, 4, 10, seed=1, cap=64, workers=0)
 
 
 def test_type_census_small():
@@ -255,6 +266,7 @@ def test_type_census_monotone_in_n():
     assert counts == sorted(counts)
 
 
-def test_type_census_budget():
+def test_type_census_budget(monkeypatch):
+    monkeypatch.setattr(experiments, "DEFAULT_SUBSET_BUDGET", 100)
     with pytest.raises(CapExceeded):
-        type_census(100, 4, 2, budget=100)
+        type_census(100, 4, 2)

@@ -58,12 +58,14 @@ def test_negative_elements_and_sparse_path():
     assert fold_sizes(B.elements, 2) == [3, 6]
 
 
-def test_size_cap_enforced():
+def test_size_cap_enforced(monkeypatch):
+    monkeypatch.setattr(sumset, "DEFAULT_SIZE_CAP", 100)
     with pytest.raises(CapExceeded):
-        h_fold_sumset(IntegerSet(range(61)), 2, cap=100)
+        h_fold_sumset(IntegerSet(range(61)), 2)
+    monkeypatch.setattr(sumset, "DEFAULT_SIZE_CAP", 2)
     with pytest.raises(CapExceeded):
         # sparse path checks the cap per fold step as well
-        h_fold_sumset(IntegerSet([0, 1, 1 << 30]), 2, cap=2)
+        h_fold_sumset(IntegerSet([0, 1, 1 << 30]), 2)
 
 
 def test_profile_golden_table():
@@ -132,12 +134,12 @@ def test_every_caller_rejects_nonpositive_h():
             h_fold_sumset(IntegerSet([0, 1, 3]), h)
 
 
-def _fold_outcome(A, h, cap):
+def _fold_outcome(A, h):
     """_fold's sizes and final offset set, and hA from h_fold_sumset, or
     None when they hit the cap."""
     try:
-        sizes, final = sumset._fold(A.elements, h, cap)
-        hA = set(h_fold_sumset(A, h, cap).elements)
+        sizes, final = sumset._fold(A.elements, h)
+        hA = set(h_fold_sumset(A, h).elements)
     except CapExceeded:
         return None
     if not isinstance(final, set):
@@ -153,12 +155,13 @@ def _fold_outcome(A, h, cap):
 )
 def test_fold_bitmask_and_set_paths_match_oracle(values, h, cap):
     A = IntegerSet(values)
-    bitmask = _fold_outcome(A, h, cap)
-    assert isinstance(sumset._fold(A.elements, 1, cap)[1], int)
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sumset, "DEFAULT_SIZE_CAP", cap)
+        bitmask = _fold_outcome(A, h)
+        assert isinstance(sumset._fold(A.elements, 1)[1], int)
         mp.setattr(sumset, "_BITMASK_SPAN_LIMIT", -1)
-        assert isinstance(sumset._fold(A.elements, 1, cap)[1], set)
-        sets = _fold_outcome(A, h, cap)
+        assert isinstance(sumset._fold(A.elements, 1)[1], set)
+        sets = _fold_outcome(A, h)
     assert bitmask == sets
 
     expected = [len(brute_sumset(A, j)) for j in range(1, h + 1)]

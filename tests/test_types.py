@@ -9,6 +9,7 @@ from sumsetlab.core import CapExceeded, IntegerSet, RationalSet, binomial
 from sumsetlab.sumset import fold_size
 from sumsetlab.types import (
     LogLinear,
+    PrecisionExhaustedError,
     _factorize,
     embed_real_to_integers,
     h_type,
@@ -129,6 +130,35 @@ def test_embed_two_elements():
     assert h_type(A, 3).class_count == 4
 
 
+def _smallest_passing_dilation_budget(monkeypatch, run, expected):
+    """Lower DILATION_STEP_BUDGET from 1 until `run` stops raising
+    CapExceeded; the first budget that passes must reproduce `expected`."""
+    for budget in range(1, 1000):
+        monkeypatch.setattr(types, "DILATION_STEP_BUDGET", budget)
+        try:
+            result = run()
+        except CapExceeded:
+            continue
+        assert result == expected
+        return budget
+    raise AssertionError("no budget below 1000 steps passed")
+
+
+def test_dilation_step_budget(monkeypatch, capsys):
+    X = RationalSet([0, Fraction(1, 97), Fraction(3, 89), 1])
+    P = IntegerSet([3, 5, 7])
+    embedded, transported = embed_real_to_integers(X, 3), product_to_sum(P, 2)
+    # the scans collide at steps 10 and 9, counting from step 0
+    assert _smallest_passing_dilation_budget(
+        monkeypatch, lambda: embed_real_to_integers(X, 3), embedded) == 11
+    assert _smallest_passing_dilation_budget(
+        monkeypatch, lambda: product_to_sum(P, 2), transported) == 10
+    monkeypatch.setattr(types, "DILATION_STEP_BUDGET", 1)
+    assert main(["types", "embed", "--set", "0,1/3,5/7,1", "--h", "3"]) == 1
+    assert main(["types", "to-sum", "--set", "2,3,4,6", "--h", "2"]) == 1
+    assert capsys.readouterr().err.count("dilation steps") == 2
+
+
 def test_sum_to_product_golden():
     assert sum_to_product(IntegerSet([0, 1, 2])).elements == (1, 2, 4)
     assert sum_to_product(IntegerSet([1, 3])).elements == (2, 8)
@@ -195,6 +225,22 @@ def test_log_linear_floor_and_rational_path():
     y = LogLinear.log2_of(10)  # 1 + log2(5)
     assert y.floor() == 3
     assert LogLinear.log2_of(3).scaled(100).floor() == 158  # 100*log2(3) = 158.49...
+
+
+def test_precision_exhausted_error(monkeypatch, capsys):
+    x = LogLinear.log2_of(27)  # 3*log2(3) = 4.75...
+    near_zero = x.minus(LogLinear.log2_of(24))  # log2(9/8) = 0.17...
+    assert x.floor() == 4 and near_zero.sign_lower_bound() > 0
+    # at 2 bits the interval around each log2(3) is 1/2 wide
+    monkeypatch.setattr(types, "PRECISION_SCHEDULE", (2,))
+    for query in (x.floor, near_zero.sign_lower_bound):
+        with pytest.raises(PrecisionExhaustedError) as exc:
+            query()
+        assert exc.value.attempted == (2,)
+        assert isinstance(exc.value, CapExceeded)
+        assert "(attempted precisions: [2])" in str(exc.value)
+    assert main(["types", "to-sum", "--set", "2,3,4,6", "--h", "2"]) == 1
+    assert "attempted precisions" in capsys.readouterr().err
 
 
 def test_product_to_sum_geometric():
