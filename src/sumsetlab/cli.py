@@ -24,10 +24,14 @@ _WORKERS_ENV = "SUMSETLAB_WORKERS"
 def _default_workers() -> int:
     raw = os.environ.get(_WORKERS_ENV, "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        print(f"warning: {_WORKERS_ENV}={raw!r} is not an integer; using 1 worker", file=sys.stderr)
+        workers = 0
+    if workers < 1:
+        print(f"warning: {_WORKERS_ENV}={raw!r} is not a positive integer; using 1 worker",
+              file=sys.stderr)
         return 1
+    return workers
 
 
 def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:

@@ -15,6 +15,14 @@ OR_{j=0..h} (M_{h-j} << j*(x - min(P))), since h(P u {x}) is the union of
 (h-j)P + j*x with 0P = {0}. `fold_size` keeps the masks of the last P it
 saw, so P is folded once and every last element costs h shift-ORs and one
 bit count.
+
+The type census walks the same (k-1)-prefixes. Splitting each composition
+c of h into its head c[:-1] and last part c_k gives
+sum(c * (P u {x})) = head . P + c_k * x, so the composition list is built
+once per census, the head dot products once per prefix, and every last
+element costs one multiply-add per composition. Relabelling those sums by
+first appearance gives exactly `h_type(P u {x}, h).class_ids`, the key the
+census groups by.
 """
 
 from __future__ import annotations
@@ -26,11 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CapExceeded, IntegerSet, binomial
+from .core import CapExceeded, IntegerSet, binomial, enumerate_compositions
 from .lattice import find_minima
 from .sumset import fold_size
 from .theory import popular_sizes
-from .types import h_type
+from .types import _partition_by
+from .types import h_type  # noqa: F401  unused; perfbench/spans.py wraps experiments.h_type
 
 SHARD_COUNT = 64
 
@@ -303,11 +312,28 @@ def type_census(n: int, k: int, h: int) -> tuple[int, list[IntegerSet]]:
     """Distinct h-types over all k-subsets of {1..n}, with the
     lexicographically least representative of each type, in order of
     first appearance. The count is a lower bound for the number of types
-    over all of Z, not an answer to how many exist."""
+    over all of Z, not an answer to how many exist.
+
+    Subsets are visited as (k-1)-prefixes P in lexicographic order, then
+    last elements x > max(P), which is the order of
+    itertools.combinations. The sums of the compositions c of h over
+    P u {x} are head . P + c_k * x, with the head dot products computed
+    once per P; the key of a subset is those sums relabelled by first
+    appearance, which is its `h_type(..., h).class_ids`.
+    """
+    if k < 1:
+        raise ValueError("k must be positive")
     _subset_count(n, k)
+    if h < 1:
+        raise ValueError("h must be positive")
+    comps = enumerate_compositions(h, k)
+    heads = [c[:-1] for c in comps]
+    lasts = [c[-1] for c in comps]
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for combo in itertools.combinations(range(1, n + 1), k):
-        part = h_type(IntegerSet(combo), h)
-        if part.class_ids not in seen:
-            seen[part.class_ids] = combo
+    for prefix in itertools.combinations(range(1, n), k - 1):
+        pre = [sum(c * p for c, p in zip(head, prefix)) for head in heads]
+        for x in range(prefix[-1] + 1 if prefix else 1, n + 1):
+            key = _partition_by([s + c * x for s, c in zip(pre, lasts)])
+            if key not in seen:
+                seen[key] = prefix + (x,)
     return len(seen), [IntegerSet(rep) for rep in seen.values()]

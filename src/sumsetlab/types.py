@@ -88,13 +88,9 @@ class TypePartition:
 
 
 def _partition_by(keys) -> tuple[int, ...]:
+    """Each key replaced by the index of its first appearance."""
     ids: dict = {}
-    out = []
-    for key in keys:
-        if key not in ids:
-            ids[key] = len(ids)
-        out.append(ids[key])
-    return tuple(out)
+    return tuple([ids.setdefault(key, len(ids)) for key in keys])
 
 
 def h_type(A, h: int) -> TypePartition:

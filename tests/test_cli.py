@@ -68,6 +68,19 @@ def test_workers_env_invalid_warns_once(monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("raw", ["0", "-3"])
+def test_workers_env_below_one_warns(monkeypatch, capsys, raw):
+    import sumsetlab.cli as cli
+
+    monkeypatch.setenv("SUMSETLAB_WORKERS", raw)
+    parser = cli.build_parser()
+    args = parser.parse_args(["experiment", "scan", "--n", "10", "--k", "3", "--h", "2"])
+    assert args.workers == 1
+    err = capsys.readouterr().err
+    assert err.count("warning:") == 1
+    assert f"SUMSETLAB_WORKERS={raw!r}" in err
+
+
 def test_sumset_compute(capsys):
     code, out, _ = run_cli(capsys, ["sumset", "compute", "--set", "0,1,2", "--h", "3"])
     assert code == 0
@@ -166,6 +179,13 @@ def test_experiment_commands(capsys):
     code, out, _ = run_cli(capsys, ["experiment", "type-census", "--n", "4", "--k", "3", "--h", "2"])
     assert code == 0
     assert json.loads(out)["type_count"] == 2
+
+
+def test_type_census_nonpositive_k_is_computation_error(capsys):
+    code, out, err = run_cli(capsys, ["experiment", "type-census", "--n", "4", "--k", "0", "--h", "2"])
+    assert code == 1
+    assert out == ""
+    assert "k must be positive" in err
 
 
 def test_text_format(capsys):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sumsetlab import experiments, sumset
-from sumsetlab.core import CapExceeded, binomial
+from sumsetlab import core, experiments, sumset, types
+from sumsetlab.core import CapExceeded, IntegerSet, binomial
 from sumsetlab.experiments import (
     ExperimentConfig,
     exhaustive_scan,
@@ -15,6 +15,7 @@ from sumsetlab.experiments import (
     type_census,
 )
 from sumsetlab.sumset import fold_size
+from sumsetlab.types import h_type
 
 
 def brute_scan(n, k, h):
@@ -270,3 +271,70 @@ def test_type_census_budget(monkeypatch):
     monkeypatch.setattr(experiments, "DEFAULT_SUBSET_BUDGET", 100)
     with pytest.raises(CapExceeded):
         type_census(100, 4, 2)
+
+
+def type_census_oracle(n, k, h):
+    """Slow oracle: the per-subset census, one h_type call per subset."""
+    experiments._subset_count(n, k)
+    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for combo in itertools.combinations(range(1, n + 1), k):
+        part = h_type(IntegerSet(combo), h)
+        if part.class_ids not in seen:
+            seen[part.class_ids] = combo
+    return len(seen), [IntegerSet(rep) for rep in seen.values()]
+
+
+@st.composite
+def census_shapes(draw):
+    k = draw(st.integers(1, 6))
+    return draw(st.integers(k, 12)), k, draw(st.integers(1, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(census_shapes())
+@example((7, 1, 3))  # k = 1: empty prefix
+@example((9, 2, 4))
+@example((5, 5, 2))  # k = n: one subset
+@example((14, 5, 3))
+@example((20, 3, 5))
+def test_type_census_matches_per_subset_oracle(shape):
+    count, reps = type_census(*shape)
+    oracle_count, oracle_reps = type_census_oracle(*shape)
+    assert count == oracle_count
+    assert [r.elements for r in reps] == [r.elements for r in oracle_reps]
+
+
+def test_type_census_enumerates_compositions_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (experiments, types):
+        monkeypatch.setattr(module, "h_type", counted("h_type", h_type))
+        monkeypatch.setattr(module, "enumerate_compositions",
+                            counted("compositions", core.enumerate_compositions))
+    type_census(12, 4, 3)
+    assert calls == Counter({"compositions": 1})
+
+
+def test_type_census_composition_cap(monkeypatch):
+    monkeypatch.setattr(core, "DEFAULT_COMPOSITION_CAP", 34)  # C(4+3, 3) = 35 at h = k = 4
+    with pytest.raises(CapExceeded, match="35 compositions"):
+        type_census(10, 4, 4)
+    monkeypatch.setattr(core, "DEFAULT_COMPOSITION_CAP", 35)
+    assert type_census(10, 4, 4)[0] == type_census_oracle(10, 4, 4)[0]
+
+
+@pytest.mark.parametrize("k, h, message", [
+    (3, 0, "h must be positive"),
+    (3, -1, "h must be positive"),
+    (0, 2, "k must be positive"),
+    (-1, 2, "k must be positive"),
+])
+def test_type_census_rejects_nonpositive_k_and_h(k, h, message):
+    with pytest.raises(ValueError, match=message):
+        type_census(6, k, h)
