@@ -27,98 +27,81 @@ def _integral(value) -> int:
     return as_int
 
 
-class IntegerSet:
-    """A finite set of integers, stored as a strictly increasing tuple.
+class _ElementSet:
+    """A finite nonempty set stored as a strictly increasing tuple.
 
-    Input values are deduplicated and sorted, so the increasing invariant
-    holds by construction. Values must be integral (3, 3.0 and
-    Fraction(6, 2) all give 3); a non-integral value raises ValueError
-    instead of being truncated.
+    Each subclass names its element type `_exact`, a coercion `_coerce`
+    for values of any other type, and a token parser `_parse`. Input
+    values are coerced, deduplicated and sorted, so the increasing
+    invariant holds by construction. Instances are immutable, and a set
+    only equals a set of its own class.
     """
 
     __slots__ = ("elements",)
 
-    def __init__(self, values: Iterable[int]):
-        elems = tuple(sorted({v if type(v) is int else _integral(v) for v in values}))
+    def __init__(self, values: Iterable):
+        exact, coerce = self._exact, self._coerce
+        elems = tuple(sorted({v if type(v) is exact else coerce(v) for v in values}))
         if not elems:
-            raise ValueError("IntegerSet needs at least one element")
+            raise ValueError(f"{type(self).__name__} needs at least one element")
         object.__setattr__(self, "elements", elems)
 
     @classmethod
-    def from_text(cls, text: str) -> "IntegerSet":
+    def from_text(cls, text: str):
         """Parse a comma-separated list such as ``0,2,18,25``."""
-        return cls(int(tok) for tok in text.split(","))
+        return cls(cls._parse(tok) for tok in text.split(","))
 
     @property
     def k(self) -> int:
         return len(self.elements)
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def __iter__(self) -> Iterator:
+        return iter(self.elements)
+
+    def __getitem__(self, i):
+        return self.elements[i]
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.elements == other.elements
+
+    def __hash__(self) -> int:
+        return hash(self.elements)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class IntegerSet(_ElementSet):
+    """A finite set of integers, stored as a strictly increasing tuple.
+
+    Values must be integral (3, 3.0 and Fraction(6, 2) all give 3); a
+    non-integral value raises ValueError instead of being truncated.
+    """
+
+    __slots__ = ()
+    _exact = _parse = int
+    _coerce = staticmethod(_integral)
 
     @property
     def diam(self) -> int:
         return self.elements[-1] - self.elements[0]
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.elements)
-
-    def __getitem__(self, i):
-        return self.elements[i]
-
     def __contains__(self, value) -> bool:
         return value in self.elements
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntegerSet) and self.elements == other.elements
-
-    def __hash__(self) -> int:
-        return hash(self.elements)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntegerSet is immutable")
 
     def __repr__(self) -> str:
         return f"IntegerSet({list(self.elements)!r})"
 
 
-class RationalSet:
+class RationalSet(_ElementSet):
     """A finite set of exact rationals, strictly increasing. Accepts ints,
     Fractions, and strings like ``1/2`` or ``-3``."""
 
-    __slots__ = ("elements",)
-
-    def __init__(self, values: Iterable):
-        elems = tuple(sorted({Fraction(v) for v in values}))
-        if not elems:
-            raise ValueError("RationalSet needs at least one element")
-        object.__setattr__(self, "elements", elems)
-
-    @classmethod
-    def from_text(cls, text: str) -> "RationalSet":
-        return cls(Fraction(tok) for tok in text.split(","))
-
-    @property
-    def k(self) -> int:
-        return len(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.elements)
-
-    def __getitem__(self, i):
-        return self.elements[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalSet) and self.elements == other.elements
-
-    def __hash__(self) -> int:
-        return hash(self.elements)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalSet is immutable")
+    __slots__ = ()
+    _exact = _coerce = _parse = Fraction
 
     def __repr__(self) -> str:
         return f"RationalSet({[str(e) for e in self.elements]!r})"

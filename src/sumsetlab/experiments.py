@@ -2,10 +2,12 @@
 
 Reproducibility scheme: work is split into a fixed number of shards
 (SHARD_COUNT, independent of the worker count), and shard s draws from
-its own counter-based Philox stream keyed by (seed, s). Results are
-merged by plain counter addition, so the outcome is bit-identical for any
-worker count, including 1. Statistics are accumulated as exact integer
-sums and only converted to floats in the final summary.
+its own counter-based Philox stream keyed by (seed, s). Every shard
+returns one Counter and `_run_sharded` adds them up in shard order, so
+the outcome is bit-identical for any worker count, including 1. The
+minima statistics count (i, h_i) pairs; means and deviations are taken
+from exact integer sums over those counts and only converted to floats
+in the final summary.
 
 The exhaustive scan is sharded by the first element of each subset and
 walks each shard in lexicographic order, so consecutive subsets share
@@ -136,13 +138,16 @@ def _random_shard(args) -> Counter:
     return counts
 
 
-def _run_sharded(jobs, worker, workers: int):
+def _run_sharded(jobs, worker, workers: int) -> Counter:
+    """Run `worker` on every job and add up the Counters it returns, in job
+    order. Each job carries its own shard, so the sum does not depend on
+    `workers`, the number of processes the jobs are spread over."""
     if workers < 1:
         raise ValueError("workers must be positive")
     if workers == 1:
-        return [worker(job) for job in jobs]
+        return sum(map(worker, jobs), Counter())
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, jobs))
+        return sum(pool.map(worker, jobs), Counter())
 
 
 def random_subset_experiment(config: ExperimentConfig) -> tuple[Histogram, dict]:
@@ -159,10 +164,7 @@ def random_subset_experiment(config: ExperimentConfig) -> tuple[Histogram, dict]
             (config.n, config.k, config.h, config.seed, shard, count)
             for shard, count in enumerate(_shard_sizes(config.samples, SHARD_COUNT))
         ]
-        merged: Counter = Counter()
-        for part in _run_sharded(jobs, _random_shard, config.workers):
-            merged.update(part)
-        hist = Histogram(dict(merged), config.samples)
+        hist = Histogram(dict(_run_sharded(jobs, _random_shard, config.workers)), config.samples)
 
     M = binomial(config.h + config.k - 1, config.k - 1)
     popular = popular_sizes(config.h, config.k)
@@ -211,34 +213,19 @@ def exhaustive_scan(n: int, k: int, h: int, workers: int = 1) -> Histogram:
     """
     total = _subset_count(n, k)
     jobs = [(n, k, h, first) for first in range(1, n - k + 2)]
-    merged: Counter = Counter()
-    for part in _run_sharded(jobs, _scan_shard, workers):
-        merged.update(part)
-    return Histogram(dict(merged), total)
+    return Histogram(dict(_run_sharded(jobs, _scan_shard, workers)), total)
 
 
-def _minima_shard(args):
+def _minima_shard(args) -> Counter:
+    """Counter of (i, h_i) over the shard's samples, i from 0, for every
+    sample whose i-th minimum 2h_i lies within the cap."""
     n, k, seed, shard, count, cap, minima_count = args
     rng = _shard_rng(seed, shard)
-    hist: Counter = Counter()
-    found = [0] * minima_count
-    sums = [0] * minima_count
-    sqsums = [0] * minima_count
-    truncated = [0] * minima_count
+    counts: Counter = Counter()
     for _ in range(count):
-        A = IntegerSet(_sample_subset(rng, n, k))
-        report = find_minima(A, minima_count, max_cap=cap)
-        for i in range(minima_count):
-            if i < len(report.minima):
-                hi = report.minima[i] // 2
-                found[i] += 1
-                sums[i] += hi
-                sqsums[i] += hi * hi
-                if i == 0:
-                    hist[hi] += 1
-            else:
-                truncated[i] += 1
-    return hist, found, sums, sqsums, truncated
+        report = find_minima(IntegerSet(_sample_subset(rng, n, k)), minima_count, max_cap=cap)
+        counts.update(enumerate(m // 2 for m in report.minima))
+    return counts
 
 
 def minima_statistics(
@@ -268,35 +255,27 @@ def minima_statistics(
         (n, k, seed, shard, per, cap, count)
         for shard, per in enumerate(_shard_sizes(samples, SHARD_COUNT))
     ]
-    hist: Counter = Counter()
-    found = [0] * count
-    sums = [0] * count
-    sqsums = [0] * count
-    truncated = [0] * count
-    for part_hist, part_found, part_sums, part_sq, part_trunc in _run_sharded(
-        jobs, _minima_shard, workers
-    ):
-        hist.update(part_hist)
-        for i in range(count):
-            found[i] += part_found[i]
-            sums[i] += part_sums[i]
-            sqsums[i] += part_sq[i]
-            truncated[i] += part_trunc[i]
+    counts = _run_sharded(jobs, _minima_shard, workers)
 
     minima_stats = []
     for i in range(count):
-        if found[i]:
-            mean = sums[i] / found[i]
-            var = sqsums[i] / found[i] - mean * mean
+        hs = [(h, c) for (j, h), c in counts.items() if j == i]
+        found = sum(c for _, c in hs)
+        truncated = samples - found
+        if found:
+            sums = sum(h * c for h, c in hs)
+            sqsums = sum(h * h * c for h, c in hs)
+            mean = sums / found
+            var = sqsums / found - mean * mean
             stddev = var**0.5 if var > 0 else 0.0
         else:
             mean = stddev = None
         minima_stats.append(
             {
                 "index": i + 1,
-                "found": found[i],
-                "truncated": truncated[i],
-                "truncation_rate": truncated[i] / samples,
+                "found": found,
+                "truncated": truncated,
+                "truncation_rate": truncated / samples,
                 "mean_h": mean,
                 "stddev_h": stddev,
             }
@@ -304,7 +283,7 @@ def minima_statistics(
     return {
         "config": {"n": n, "k": k, "samples": samples, "seed": seed, "cap": cap, "count": count},
         "minima": minima_stats,
-        "h1_histogram": {str(key): hist[key] for key in sorted(hist)},
+        "h1_histogram": {str(h): c for (i, h), c in sorted(counts.items()) if i == 0},
     }
 
 

@@ -74,43 +74,23 @@ class LatticeBasis:
     set: IntegerSet
 
     def contains(self, vector: tuple[int, ...]) -> bool:
-        """Exact membership test: solve x . rows = vector over Q and check
-        the solution is integral."""
-        if len(vector) != self.set.k:
+        """Exact membership test. Each row r_i is loaded into one rational
+        echelon as (r_i | e_i), with e_i the i-th unit vector, and (v | 0)
+        is reduced against them. What is left is (0 | -x) exactly when
+        v = sum x_i r_i; the rows are independent, so x is unique, and v
+        is in the lattice when x is integral."""
+        k = self.set.k
+        if len(vector) != k:
             return False
-        coeffs = _solve_combination(self.rows, vector)
-        return coeffs is not None and all(c.denominator == 1 for c in coeffs)
+        n = len(self.rows)
+        echelon = _RationalEchelon()
+        for i, row in enumerate(self.rows):
+            echelon.try_add((*row, *(int(i == j) for j in range(n))))
+        rest = echelon.reduce((*vector, *[0] * n))
+        return not any(rest[:k]) and all(x.denominator == 1 for x in rest[k:])
 
     def to_dict(self) -> dict:
         return {"set": list(self.set.elements), "rows": [list(r) for r in self.rows]}
-
-
-def _solve_combination(rows, target):
-    """Solve sum_i x_i * rows[i] = target over the rationals; None if the
-    target is outside the row span."""
-    n = len(rows)
-    k = len(target)
-    aug = [[Fraction(rows[i][j]) for i in range(n)] + [Fraction(target[j])] for j in range(k)]
-    piv_of_row = []
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, k) if aug[i][c]), None)
-        if p is None:
-            continue
-        aug[r], aug[p] = aug[p], aug[r]
-        for i in range(k):
-            if i != r and aug[i][c]:
-                f = aug[i][c] / aug[r][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_of_row.append(c)
-        r += 1
-    for i in range(r, k):
-        if aug[i][-1]:
-            return None
-    sol = [Fraction(0)] * n
-    for i, c in enumerate(piv_of_row):
-        sol[c] = aug[i][-1] / aug[i][c]
-    return sol
 
 
 def coefficient_lattice_basis(A: IntegerSet) -> LatticeBasis:
@@ -122,20 +102,28 @@ def coefficient_lattice_basis(A: IntegerSet) -> LatticeBasis:
 
 
 class _RationalEchelon:
-    """Incrementally reduced set of rows over Q, for exact independence
-    testing while minima are collected."""
+    """Incrementally reduced rows over Q, the one exact eliminator: it tests
+    independence while minima are collected, and lattice membership."""
 
     __slots__ = ("rows",)
 
     def __init__(self):
         self.rows: list[tuple[int, list[Fraction]]] = []
 
-    def try_add(self, vec: tuple[int, ...]) -> bool:
+    def reduce(self, vec) -> list[Fraction]:
+        """vec minus the multiples of the stored rows that clear their
+        pivots. Each row is zero at the pivots of the rows before it, so the
+        result is zero at every pivot, and all zero exactly when vec lies in
+        the rows' span."""
         w = [Fraction(x) for x in vec]
         for piv, row in self.rows:
             if w[piv]:
                 f = w[piv] / row[piv]
                 w = [x - f * y for x, y in zip(w, row)]
+        return w
+
+    def try_add(self, vec: tuple[int, ...]) -> bool:
+        w = self.reduce(vec)
         piv = next((i for i, x in enumerate(w) if x), None)
         if piv is None:
             return False

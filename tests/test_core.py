@@ -68,12 +68,22 @@ def test_integer_set_sorts_and_dedupes():
     assert A == IntegerSet.from_text("0,2,18,25")
 
 
-def test_integer_set_immutable_and_nonempty():
-    A = IntegerSet([1, 2])
-    with pytest.raises(AttributeError):
+@pytest.mark.parametrize("cls", [IntegerSet, RationalSet])
+def test_integer_set_immutable_and_nonempty(cls):
+    A = cls([1, 2])
+    with pytest.raises(AttributeError, match=f"{cls.__name__} is immutable"):
         A.elements = (3,)
-    with pytest.raises(ValueError):
-        IntegerSet([])
+    with pytest.raises(ValueError, match=f"{cls.__name__} needs at least one element"):
+        cls([])
+    assert A == cls([2, 1, 2]) and hash(A) == hash(cls([2, 1]))
+    assert len(A) == A.k == 2 and list(A) == [1, 2] and A[-1] == 2
+    assert cls.from_text("2,1") == A
+
+
+def test_set_classes_never_compare_equal():
+    assert IntegerSet([1, 2]) != RationalSet([1, 2])
+    assert RationalSet([1, 2]) != IntegerSet([1, 2])
+    assert RationalSet.from_text("1/2,-3").k == 2
 
 
 def test_integer_set_rejects_non_integral_values():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sumsetlab import core, experiments, sumset, types
 from sumsetlab.core import CapExceeded, IntegerSet, binomial
+from sumsetlab.lattice import find_minima
 from sumsetlab.experiments import (
     ExperimentConfig,
     exhaustive_scan,
@@ -235,6 +236,89 @@ def test_minima_statistics_two_minima():
     summary = minima_statistics(40, 4, 60, seed=9, cap=128, count=2)
     first, second = summary["minima"]
     assert first["mean_h"] <= second["mean_h"] or second["found"] == 0
+
+
+def minima_shard_oracle(args):
+    """Slow oracle: the per-minimum shard with four parallel lists."""
+    n, k, seed, shard, count, cap, minima_count = args
+    rng = experiments._shard_rng(seed, shard)
+    hist: Counter = Counter()
+    found = [0] * minima_count
+    sums = [0] * minima_count
+    sqsums = [0] * minima_count
+    truncated = [0] * minima_count
+    for _ in range(count):
+        A = IntegerSet(experiments._sample_subset(rng, n, k))
+        report = find_minima(A, minima_count, max_cap=cap)
+        for i in range(minima_count):
+            if i < len(report.minima):
+                hi = report.minima[i] // 2
+                found[i] += 1
+                sums[i] += hi
+                sqsums[i] += hi * hi
+                if i == 0:
+                    hist[hi] += 1
+            else:
+                truncated[i] += 1
+    return hist, found, sums, sqsums, truncated
+
+
+def minima_statistics_oracle(n, k, samples, seed, cap, count):
+    """Slow oracle: `minima_statistics` merging the four lists field by field."""
+    jobs = [
+        (n, k, seed, shard, per, cap, count)
+        for shard, per in enumerate(experiments._shard_sizes(samples, experiments.SHARD_COUNT))
+    ]
+    hist: Counter = Counter()
+    found = [0] * count
+    sums = [0] * count
+    sqsums = [0] * count
+    truncated = [0] * count
+    for part_hist, part_found, part_sums, part_sq, part_trunc in map(minima_shard_oracle, jobs):
+        hist.update(part_hist)
+        for i in range(count):
+            found[i] += part_found[i]
+            sums[i] += part_sums[i]
+            sqsums[i] += part_sq[i]
+            truncated[i] += part_trunc[i]
+
+    minima_stats = []
+    for i in range(count):
+        if found[i]:
+            mean = sums[i] / found[i]
+            var = sqsums[i] / found[i] - mean * mean
+            stddev = var**0.5 if var > 0 else 0.0
+        else:
+            mean = stddev = None
+        minima_stats.append(
+            {
+                "index": i + 1,
+                "found": found[i],
+                "truncated": truncated[i],
+                "truncation_rate": truncated[i] / samples,
+                "mean_h": mean,
+                "stddev_h": stddev,
+            }
+        )
+    return {
+        "config": {"n": n, "k": k, "samples": samples, "seed": seed, "cap": cap, "count": count},
+        "minima": minima_stats,
+        "h1_histogram": {str(key): hist[key] for key in sorted(hist)},
+    }
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "n, k, samples, seed, cap",
+    [(40, 4, 90, 9, 16), (300, 5, 80, 3, 12), (60, 6, 70, 5, 8)],
+)
+def test_minima_statistics_matches_four_list_oracle(n, k, samples, seed, cap, workers):
+    truncated = 0
+    for count in range(1, k - 1):
+        summary = minima_statistics(n, k, samples, seed, cap, count=count, workers=workers)
+        assert summary == minima_statistics_oracle(n, k, samples, seed, cap, count)
+        truncated += summary["minima"][-1]["truncated"]
+    assert truncated  # the cap cuts some samples off
 
 
 def test_minima_statistics_validation():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sumsetlab.core import IntegerSet
 from sumsetlab.lattice import (
+    LatticeBasis,
     coefficient_lattice_basis,
     find_minima,
     lattice_shells,
@@ -96,6 +97,17 @@ def test_basis_membership_golden():
     assert not basis.contains((1, -1, 0, 0))
     basis2 = coefficient_lattice_basis(IntegerSet([0, 1, 3, 4]))
     assert basis2.contains((1, -1, -1, 1))
+
+
+def test_contains_rejects_a_rational_combination():
+    # (2*r1, r2) spans the same rational space as the basis but only an
+    # index-2 sublattice, so r1 (coefficient 1/2) is in the span, not in it
+    A = IntegerSet([1, 5, 96, 100])
+    r1, r2 = coefficient_lattice_basis(A).rows
+    sub = LatticeBasis((tuple(2 * x for x in r1), r2), A)
+    assert not sub.contains(r1)
+    assert sub.contains(tuple(2 * x + y for x, y in zip(r1, r2)))
+    assert not sub.contains(tuple(x + y for x, y in zip(r1, r2)))
 
 
 def test_basis_generates_every_short_vector():
