@@ -85,15 +85,21 @@ def _even_cap(text: str) -> int:
     return cap
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for --workers: an integer >= 1, else a usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _int_at_least(minimum: int, kind: str):
+    """argparse type: an integer >= minimum, else a usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")  # --workers
+_nonnegative_int = _int_at_least(0, "nonnegative")  # --seed
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -354,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--workers", type=_positive_int, default=workers)
     _add_common(p)
     p.set_defaults(func=_cmd_exp_random)
@@ -369,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--cap", type=_even_cap, required=True)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--workers", type=_positive_int, default=workers)

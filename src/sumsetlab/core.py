@@ -73,6 +73,11 @@ class _ElementSet:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        # Rebuild through the constructor: the default protocol restores
+        # the slot with setattr, which immutability blocks.
+        return type(self), (self.elements,)
+
 
 class IntegerSet(_ElementSet):
     """A finite set of integers, stored as a strictly increasing tuple.

@@ -9,6 +9,18 @@ minima statistics count (i, h_i) pairs; means and deviations are taken
 from exact integer sums over those counts and only converted to floats
 in the final summary.
 
+A shard draws its subsets in blocks of at most _DRAW_BLOCK samples, one
+`rng.integers(lows, n, size=(rows, k))` call per block with
+lows = (0, 1, ..., k-1), and runs each row through a partial
+Fisher-Yates shuffle on a virtual array. numpy fills such an array in
+row-major order, each element one bounded draw on [j, n) from the
+generator's Philox stream, the same draw a scalar `rng.integers(j, n)`
+call takes. So a block consumes the stream exactly as k scalar calls per
+sample would, every subset is the one a per-sample sampler gives, and the
+generator is left in the same state; the tests hold the batched sampler
+to that scalar one. The draw buffer holds _DRAW_BLOCK * k integers
+whatever the sample count.
+
 The exhaustive scan is sharded by the first element of each subset and
 walks each shard in lexicographic order, so consecutive subsets share
 their (k-1)-prefix P. With M_i the mask of iP - i*min(P), the mask of
@@ -46,6 +58,9 @@ from .types import h_type  # noqa: F401  unused; perfbench/spans.py wraps experi
 SHARD_COUNT = 64
 
 DEFAULT_SUBSET_BUDGET = 5_000_000
+
+# Samples drawn per Generator.integers call in `_sample_subsets`.
+_DRAW_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -114,28 +129,34 @@ def _shard_rng(seed: int, shard: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _sample_subset(rng: np.random.Generator, n: int, k: int) -> tuple[int, ...]:
-    """Uniform k-subset of {1..n} via a partial Fisher-Yates shuffle on a
-    virtual array (exactly uniform, O(k) memory)."""
-    swap: dict[int, int] = {}
-    out = []
-    for j in range(k):
-        r = int(rng.integers(j, n))
-        vj = swap.get(j, j)
-        vr = swap.get(r, r)
-        swap[j], swap[r] = vr, vj
-        out.append(vr + 1)
-    out.sort()
-    return tuple(out)
+def _sample_subsets(rng: np.random.Generator, n: int, k: int, count: int):
+    """Yield `count` uniform k-subsets of {1..n}, each a sorted tuple, by a
+    partial Fisher-Yates shuffle on a virtual array (exactly uniform).
+
+    One `rng.integers` call draws the swap targets of up to _DRAW_BLOCK
+    samples, one row of k per sample; the module docstring says why that
+    is the stream of k scalar draws per sample.
+    """
+    lows = np.arange(k)
+    for start in range(0, count, _DRAW_BLOCK):
+        rows = min(_DRAW_BLOCK, count - start)
+        for row in rng.integers(lows, n, size=(rows, k)).tolist():
+            swap: dict[int, int] = {}
+            out = []
+            for j, r in enumerate(row):
+                vj = swap.get(j, j)
+                vr = swap.get(r, r)
+                swap[j], swap[r] = vr, vj
+                out.append(vr + 1)
+            out.sort()
+            yield tuple(out)
 
 
 def _random_shard(args) -> Counter:
     n, k, h, seed, shard, count = args
-    rng = _shard_rng(seed, shard)
-    counts: Counter = Counter()
-    for _ in range(count):
-        counts[fold_size(_sample_subset(rng, n, k), h)] += 1
-    return counts
+    return Counter(
+        fold_size(subset, h) for subset in _sample_subsets(_shard_rng(seed, shard), n, k, count)
+    )
 
 
 def _run_sharded(jobs, worker, workers: int) -> Counter:
@@ -220,10 +241,9 @@ def _minima_shard(args) -> Counter:
     """Counter of (i, h_i) over the shard's samples, i from 0, for every
     sample whose i-th minimum 2h_i lies within the cap."""
     n, k, seed, shard, count, cap, minima_count = args
-    rng = _shard_rng(seed, shard)
     counts: Counter = Counter()
-    for _ in range(count):
-        report = find_minima(IntegerSet(_sample_subset(rng, n, k)), minima_count, max_cap=cap)
+    for subset in _sample_subsets(_shard_rng(seed, shard), n, k, count):
+        report = find_minima(IntegerSet(subset), minima_count, max_cap=cap)
         counts.update(enumerate(m // 2 for m in report.minima))
     return counts
 
@@ -243,8 +263,11 @@ def minima_statistics(
     computed exactly (up to the even norm cap); a sample whose i-th
     minimum exceeds the cap counts toward that minimum's truncation rate
     and is excluded from its mean. The summary carries the full histogram
-    of h1 = lambda_1 / 2, and mean/stddev per minimum.
+    of h1 = lambda_1 / 2, and mean/stddev per minimum. The lattice needs
+    k >= 3, and the subsets n >= k.
     """
+    if not n >= k >= 3:
+        raise ValueError("need n >= k >= 3")
     if samples < 1:
         raise ValueError("samples must be positive")
     if not 1 <= count <= k - 2:

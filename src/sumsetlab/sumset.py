@@ -13,12 +13,16 @@ When the window is too wide for a bitmask the same fold runs on a Python
 set instead. Both paths are exact and check every step's size against
 DEFAULT_SIZE_CAP, read at call time.
 
-`fold_size` shares work between consecutive calls whose sets agree in
-all but their largest element, as the exhaustive scan's lexicographic
-order makes them: it keeps the fold of that prefix and reads off |hA| with
-h shift-ORs (the identity is in its docstring). Wider windows and every
-other caller go through `_fold`, which stays the only place that picks
-between mask and set.
+`fold_size` sizes hA from the folds of its prefix P = A minus max(A):
+given the masks of jP for j = 1..h it reads off |hA| with h shift-ORs and
+one bit count (the identity is in its docstring). That is cheaper than
+`_fold` even for a single call, since the prefix folds one shift fewer
+per step and no step counts bits, so every window up to
+_PREFIX_MEMO_SPAN_LIMIT takes it, the random census's included. The masks
+of the last prefix are kept, so consecutive calls that share P, as in the
+exhaustive scan's lexicographic order, skip the prefix fold as well.
+Wider windows and every other caller go through `_fold`, which stays the
+only place that picks between mask and set.
 """
 
 from __future__ import annotations
@@ -33,10 +37,11 @@ DEFAULT_SIZE_CAP = 100_000_000
 # the sparse set path wins anyway.
 _BITMASK_SPAN_LIMIT = 1 << 26
 
-# fold_size keeps the prefix masks of its last call only for windows this
-# narrow: there the per-call fold is short enough that sharing it pays, and
-# the h kept masks stay small.
-_PREFIX_MEMO_SPAN_LIMIT = 1 << 12
+# fold_size takes the prefix identity for windows with h*diam at most this
+# limit, which covers the census (h*diam <= 10*999). The h kept masks of
+# jP - j*min(P) have j*diam(P) + 1 bits each, and diam(P) < diam(A), so
+# they hold sum_j (j*diam(P) + 1) <= (h + 1) * 2**13 bits in all.
+_PREFIX_MEMO_SPAN_LIMIT = 1 << 14
 _last_prefix: tuple[tuple[int, ...], int, list[int]] = ((), 0, [])
 
 
@@ -104,11 +109,13 @@ def fold_size(elements: tuple[int, ...], h: int) -> int:
     Write A = P u {x} with x = max(A). hA is the union of (h-j)P + j*x over
     j = 0..h, with 0P = {0}, so with M_j the mask of jP - j*min(P) and
     d = x - min(P) the mask of hA - h*min(A) is OR_j (M_{h-j} << j*d).
-    For windows of at most _PREFIX_MEMO_SPAN_LIMIT bits the masks of the
-    last prefix P are kept, and a call with the same P and h costs h
-    shift-ORs and one bit_count. |jA| never decreases in j, so a final
-    size within the cap means every step was; a size above it is refolded
-    by `_fold`, which raises the same CapExceeded as an unshared fold.
+    When h*d is at most _PREFIX_MEMO_SPAN_LIMIT the size is read off that
+    identity, which costs one fold of P plus h shift-ORs and one
+    bit_count; the masks of the last prefix P are kept, so a call with the
+    same P and h skips the fold of P. Wider windows, h = 1 and one-element
+    sets go through `_fold`. |jA| never decreases in j, so a final size
+    within the cap means every step was; a size above it is refolded by
+    `_fold`, which raises the same CapExceeded as an unshared fold.
     """
     global _last_prefix
     prefix, d = elements[:-1], elements[-1] - elements[0]

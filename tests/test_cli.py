@@ -247,6 +247,29 @@ def test_bad_workers_is_usage_error(argv, workers, capsys):
     assert "--workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", "-3", "x"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "random", "--n", "10", "--k", "3", "--h", "2", "--samples", "5"],
+        ["experiment", "minima-stats", "--n", "50", "--k", "4", "--samples", "3", "--cap", "64"],
+    ],
+)
+def test_negative_seed_is_usage_error(argv, seed, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", seed])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, k", [("3", "4"), ("50", "2")])
+def test_minima_stats_needs_n_at_least_k_at_least_3(n, k, capsys):
+    code, out, err = run_cli(capsys, ["experiment", "minima-stats", "--n", n, "--k", k,
+                                      "--samples", "3", "--cap", "64"])
+    assert code == 1 and out == ""
+    assert err == "error: need n >= k >= 3\n"
+
+
 def test_product_type_needs_an_integer_set(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["types", "type", "--product", "--set", "1/2,3", "--h", "2"])

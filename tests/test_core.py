@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -78,6 +80,18 @@ def test_integer_set_immutable_and_nonempty(cls):
     assert A == cls([2, 1, 2]) and hash(A) == hash(cls([2, 1]))
     assert len(A) == A.k == 2 and list(A) == [1, 2] and A[-1] == 2
     assert cls.from_text("2,1") == A
+
+
+@pytest.mark.parametrize("A", [IntegerSet([2, -7, 5]), RationalSet(["1/2", -3, 4])])
+def test_sets_survive_pickle_and_copy(A):
+    restored = [
+        pickle.loads(pickle.dumps(A, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ] + [copy.copy(A), copy.deepcopy(A), copy.deepcopy([A, A])[1]]
+    for B in restored:
+        assert type(B) is type(A) and B == A and B.elements == A.elements
+        with pytest.raises(AttributeError, match="immutable"):
+            B.elements = (0,)
 
 
 def test_set_classes_never_compare_equal():

@@ -36,6 +36,109 @@ def scan_shard_oracle(args) -> Counter:
     return counts
 
 
+def sample_subset_oracle(rng, n, k):
+    """Slow oracle: the scalar sampler, k `rng.integers` calls per sample.
+    Uniform k-subset of {1..n} via a partial Fisher-Yates shuffle on a
+    virtual array (exactly uniform, O(k) memory)."""
+    swap: dict[int, int] = {}
+    out = []
+    for j in range(k):
+        r = int(rng.integers(j, n))
+        vj = swap.get(j, j)
+        vr = swap.get(r, r)
+        swap[j], swap[r] = vr, vj
+        out.append(vr + 1)
+    out.sort()
+    return tuple(out)
+
+
+def random_shard_oracle(args) -> Counter:
+    """Slow oracle: the census shard with the scalar sampler and one
+    unshared fold per sample."""
+    n, k, h, seed, shard, count = args
+    rng = experiments._shard_rng(seed, shard)
+    return Counter(sumset._fold(sample_subset_oracle(rng, n, k), h)[0][-1] for _ in range(count))
+
+
+@st.composite
+def sampler_shapes(draw):
+    k = draw(st.integers(1, 8))
+    return draw(st.integers(k, 2**62)), k
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sampler_shapes(),
+    st.sampled_from([0, 1, 1023, 1024, 1025, 3000]),
+    st.integers(0, 2**64),
+    st.integers(0, experiments.SHARD_COUNT - 1),
+)
+@example(shape=(1, 1), count=1025, seed=0, shard=0)  # n = k: every draw is forced
+@example(shape=(8, 8), count=1024, seed=1, shard=63)
+@example(shape=(2**32 - 1, 4), count=1025, seed=2, shard=5)
+@example(shape=(2**32, 4), count=1023, seed=3, shard=5)
+@example(shape=(2**32 + 1, 6), count=1025, seed=4, shard=5)
+@example(shape=(2**62, 8), count=3000, seed=5, shard=0)
+def test_batched_sampler_matches_scalar_oracle(shape, count, seed, shard):
+    n, k = shape
+    batched, scalar = experiments._shard_rng(seed, shard), experiments._shard_rng(seed, shard)
+    subsets = list(experiments._sample_subsets(batched, n, k, count))
+    assert subsets == [sample_subset_oracle(scalar, n, k) for _ in range(count)]
+    # Both generators are left at the same point of the stream.
+    assert batched.integers(0, n) == scalar.integers(0, n)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "n, k, h, samples, seed",
+    [(200, 4, 5, 3000, 11), (60, 6, 3, 2000, 4), (1000, 4, 10, 1500, 20250809), (2**40, 3, 2, 300, 7)],
+)
+def test_random_experiment_matches_scalar_sampler_oracle(n, k, h, samples, seed, workers):
+    config = ExperimentConfig(n=n, k=k, h=h, samples=samples, seed=seed, workers=workers)
+    hist, _ = random_subset_experiment(config)
+    jobs = [
+        (n, k, h, seed, shard, count)
+        for shard, count in enumerate(experiments._shard_sizes(samples, experiments.SHARD_COUNT))
+    ]
+    assert Counter(hist.counts) == sum(map(random_shard_oracle, jobs), Counter())
+    assert hist.total == samples
+
+
+def test_census_sizes_each_sample_with_one_fold_size_call(monkeypatch):
+    # perfbench wraps experiments.fold_size; the census must call it by that name.
+    calls = []
+
+    def counting_fold_size(elements, h):
+        calls.append(elements)
+        return fold_size(elements, h)
+
+    monkeypatch.setattr(experiments, "fold_size", counting_fold_size)
+    hist, _ = random_subset_experiment(ExperimentConfig(n=1000, k=4, h=10, samples=2500, seed=3))
+    assert len(calls) == hist.total == 2500
+
+
+@pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 3000])
+def test_each_shard_draws_once_per_block(monkeypatch, count):
+    sizes = []
+
+    class CountingRng:
+        def __init__(self, rng):
+            self._rng = rng
+
+        def integers(self, *args, **kwargs):
+            sizes.append(kwargs["size"])
+            return self._rng.integers(*args, **kwargs)
+
+    shard_rng = experiments._shard_rng
+    monkeypatch.setattr(experiments, "_shard_rng", lambda seed, shard: CountingRng(shard_rng(seed, shard)))
+    blocks = -(-count // 1024)
+    experiments._random_shard((1000, 4, 10, 3, 5, count))
+    assert len(sizes) == blocks and sum(rows for rows, _ in sizes) == count
+    sizes.clear()
+    experiments._minima_shard((40, 4, 3, 5, count, 8, 1))
+    assert len(sizes) == blocks and all(size[1] == 4 for size in sizes)
+
+
 def _size_or_cap(elements, h, cap, size=fold_size):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sumset, "DEFAULT_SIZE_CAP", cap)
@@ -96,6 +199,32 @@ def test_shared_prefix_fold_size_matches_unshared_fold(values, h, gap, count, st
             assert [_size_or_cap(t, h, cap) for t in tuples] == expected
             if h > 1 and limit == -1:
                 assert folded == tuples
+
+
+def test_census_windows_take_the_prefix_identity(monkeypatch):
+    folded = []
+    fold = sumset._fold
+
+    def counting_fold(*args):
+        folded.append(args[0])
+        return fold(*args)
+
+    monkeypatch.setattr(sumset, "_fold", counting_fold)
+    limit = sumset._PREFIX_MEMO_SPAN_LIMIT
+    assert limit == 1 << 14
+    # The widest census window, k = 4, h = 10, d = 999, and the widest span
+    # the limit admits, h*d = 2**14, are sized without _fold ...
+    for elements, h in (((1, 17, 520, 1000), 10), ((3, 4, 900, 4099), 4)):
+        assert h * (elements[-1] - elements[0]) <= limit
+        monkeypatch.setattr(sumset, "_last_prefix", ((), 0, []))
+        size = fold_size(elements, h)
+        assert folded == []
+        assert size == fold(elements, h)[0][-1]
+    # ... and the first span past it, h*d = 2**14 + 1, goes through _fold.
+    elements, h = (0, 5, 17, 3277), 5
+    assert h * elements[-1] == limit + 1
+    assert fold_size(elements, h) == fold(elements, h)[0][-1]
+    assert folded == [elements]
 
 
 @settings(max_examples=100, deadline=None)
@@ -248,7 +377,7 @@ def minima_shard_oracle(args):
     sqsums = [0] * minima_count
     truncated = [0] * minima_count
     for _ in range(count):
-        A = IntegerSet(experiments._sample_subset(rng, n, k))
+        A = IntegerSet(sample_subset_oracle(rng, n, k))
         report = find_minima(A, minima_count, max_cap=cap)
         for i in range(minima_count):
             if i < len(report.minima):
@@ -322,6 +451,9 @@ def test_minima_statistics_matches_four_list_oracle(n, k, samples, seed, cap, wo
 
 
 def test_minima_statistics_validation():
+    for n, k in ((3, 4), (50, 2), (2, 2)):
+        with pytest.raises(ValueError, match="need n >= k >= 3"):
+            minima_statistics(n, k, 10, seed=1, cap=64)
     with pytest.raises(ValueError):
         minima_statistics(50, 4, 10, seed=1, cap=63)
     with pytest.raises(ValueError):
