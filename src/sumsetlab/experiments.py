@@ -85,6 +85,8 @@ class ExperimentConfig:
             raise ValueError("h must be positive")
         if self.samples < 0:
             raise ValueError("samples must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.workers < 1:
             raise ValueError("workers must be positive")
 
@@ -127,6 +129,12 @@ def _shard_sizes(total: int, shards: int) -> list[int]:
 def _shard_rng(seed: int, shard: int) -> np.random.Generator:
     ss = np.random.SeedSequence(seed, spawn_key=(shard,))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _check_sampler_n(n: int) -> None:
+    """The sampler draws int64 values on [j, n), so n - 1 must fit in one."""
+    if n > 2**63:
+        raise ValueError(f"sampled runs need n <= 2^63 = {2**63}")
 
 
 def _sample_subsets(rng: np.random.Generator, n: int, k: int, count: int):
@@ -181,6 +189,7 @@ def random_subset_experiment(config: ExperimentConfig) -> tuple[Histogram, dict]
     if config.samples == 0:
         hist = exhaustive_scan(config.n, config.k, config.h, workers=config.workers)
     else:
+        _check_sampler_n(config.n)
         jobs = [
             (config.n, config.k, config.h, config.seed, shard, count)
             for shard, count in enumerate(_shard_sizes(config.samples, SHARD_COUNT))
@@ -268,8 +277,11 @@ def minima_statistics(
     """
     if not n >= k >= 3:
         raise ValueError("need n >= k >= 3")
+    _check_sampler_n(n)
     if samples < 1:
         raise ValueError("samples must be positive")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     if not 1 <= count <= k - 2:
         raise ValueError(f"count must be in [1, {k - 2}]")
     if cap < 4 or cap % 2:

@@ -9,24 +9,30 @@ h-fold sums: c splits as u - v with u, v nonnegative compositions of
 ||c||_1 / 2, and u . a = v . a. Every nonzero member has even L1 norm at
 least 4.
 
-Minima are found by certified exhaustive enumeration, not by a reduction
-heuristic: coordinates c_1..c_{k-3} are scanned recursively under a
-remaining-norm budget, the last free coordinate c_{k-2} is stepped over
-the solutions of a linear congruence, and the last two coordinates are
-solved exactly from the two linear constraints, so the search tree has
-depth k-2. The congruence is the condition that c_{k-1} come out
-integral: it is taken modulo det = a_k - a_{k-1}, and its solutions form
-at most one residue class modulo m = det / g, where g depends on A only,
-so c_{k-2} advances in steps of m instead of 1. The enumeration emits one
-canonical representative per {v, -v} pair (first nonzero coordinate
-positive). A completed sweep up to norm `cap` proves there is no
-undiscovered vector of norm <= cap, which is what makes the reported
-minima exact rather than best-found.
+Minima are certified by exhaustive enumeration: coordinates c_1..c_{k-3}
+are scanned under a remaining-norm budget, the last free coordinate
+c_{k-2} is stepped over the solutions of a linear congruence, and the
+last two coordinates are solved exactly from the two linear constraints.
+The congruence is the condition that c_{k-1} come out integral: it is
+taken modulo det = a_k - a_{k-1}, and its solutions form at most one
+residue class modulo m = det / g, where g depends on A only, so c_{k-2}
+advances in steps of m instead of 1. The enumeration emits one canonical
+representative per {v, -v} pair (first nonzero coordinate positive). A
+completed sweep up to norm `cap` proves there is no undiscovered vector
+of norm <= cap, which is what makes the reported minima exact rather
+than best-found.
+
+What remains is choosing the cap. At k = 4 the lattice has rank 2, and
+Gauss reduction generalised to an arbitrary norm (Kaib & Schnorr, "The
+generalized Gauss reduction algorithm", J. Algorithms 21, 1996) turns
+the kernel basis into one whose two norms are exactly lambda_1 and
+lambda_2, so `find_minima` sweeps once, at the cap it needs. For other
+k it doubles the cap until the sweep finds the requested minima.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
@@ -144,7 +150,9 @@ def lattice_shells(A: IntegerSet, cap: int) -> dict[int, list[tuple[int, ...]]]:
     (a_{k-2} - a_k) c = a_k s - d (mod det). With g the gcd of
     a_{k-2} - a_k and det, that congruence has no solution unless g divides
     d - a_k s, and otherwise fixes c modulo m = det / g; c then steps over
-    that residue class in steps of m.
+    that residue class in steps of m, and c_{k-1} and c_k in fixed steps.
+    c_{k-3}, the last scanned coordinate, is looped over in the same frame
+    as that step, so each of its values costs no call.
     """
     if A.k < 3:
         raise ValueError("coefficient lattice is trivial for k < 3")
@@ -161,31 +169,49 @@ def lattice_shells(A: IntegerSet, cap: int) -> dict[int, list[tuple[int, ...]]]:
     g = gcd(u, det)
     m = det // g
     inv = pow(u // g, -1, m)
+    step_m1, step_k = slope // g, -(m + slope // g)
     shells: dict[int, list[tuple[int, ...]]] = {}
     prefix = [0] * (k - 3)
+    last = k - 4  # index of c_{k-3}, the last scanned coordinate; -1 at k = 3
 
     def assign(i: int, budget: int, leading: bool, s: int, d: int) -> None:
         lo = 0 if leading else -budget
-        if i < k - 3:
+        if i < last:
             ai = a[i]
-            for c in range(lo, budget + 1):
-                prefix[i] = c
-                assign(i + 1, budget - abs(c), leading and c == 0, s + c, d + ai * c)
+            for x in range(lo, budget + 1):
+                prefix[i] = x
+                assign(i + 1, budget - abs(x), leading and x == 0, s + x, d + ai * x)
             prefix[i] = 0
             return
-        r = d - ak * s
-        if r % g:
-            return
-        head = tuple(prefix)
-        used = cap - budget
-        for c in range(lo + (inv * (-r // g) - lo) % m, budget + 1, m):
+        # x = c_{k-3}. k = 3 scans nothing: the loop runs once with x = 0 of
+        # weight 0, and the slice below drops it from the head.
+        if i == last:
+            ai, xs, pre = a[i], range(lo, budget + 1), tuple(prefix[:i])
+        else:
+            ai, xs, pre = 0, (0,), ()
+        r0, w = d - ak * s, ai - ak
+        for x in xs:
+            r = r0 + w * x
+            if r % g:
+                continue
+            rest = budget - abs(x)
+            lo_c = 0 if leading and x == 0 else -rest
+            c = lo_c + (inv * (-r // g) - lo_c) % m
+            if c > rest:
+                continue
+            head = (*pre, x)[: k - 3]
+            used = cap - rest
+            # c steps by m, so c_{k-1} steps by slope * m / det = slope / g
             cm1 = (r + slope * c) // det
-            ck = -s - c - cm1
-            tail = abs(c) + abs(cm1) + abs(ck)
-            if tail <= budget:
-                norm = used + tail
-                if norm:
-                    shells.setdefault(norm, []).append(head + (c, cm1, ck))
+            ck = -s - x - c - cm1
+            for c in range(c, rest + 1, m):
+                tail = abs(c) + abs(cm1) + abs(ck)
+                if tail <= rest:
+                    norm = used + tail
+                    if norm:
+                        shells.setdefault(norm, []).append(head + (c, cm1, ck))
+                cm1 += step_m1
+                ck += step_k
 
     assign(0, cap, True, 0, 0)
     return shells
@@ -217,12 +243,7 @@ class MinimaReport:
         }
 
 
-def successive_minima(A: IntegerSet, count: int, cap: int) -> MinimaReport:
-    """First `count` successive L1 minima of the coefficient lattice of A,
-    by complete enumeration of every norm shell 4, 6, ..., cap.
-
-    count must be between 1 and k-2; cap must be even and at least 4.
-    """
+def _check_minima_args(A: IntegerSet, count: int, cap: int) -> None:
     if A.k < 3:
         raise ValueError("successive minima need k >= 3")
     if not 1 <= count <= A.k - 2:
@@ -230,6 +251,14 @@ def successive_minima(A: IntegerSet, count: int, cap: int) -> MinimaReport:
     if cap < 4 or cap % 2:
         raise ValueError("cap must be an even integer >= 4")
 
+
+def successive_minima(A: IntegerSet, count: int, cap: int) -> MinimaReport:
+    """First `count` successive L1 minima of the coefficient lattice of A,
+    by complete enumeration of every norm shell 4, 6, ..., cap.
+
+    count must be between 1 and k-2; cap must be even and at least 4.
+    """
+    _check_minima_args(A, count, cap)
     shells = lattice_shells(A, cap)
     minima: list[int] = []
     minimizers: list[tuple[int, ...]] = []
@@ -244,23 +273,73 @@ def successive_minima(A: IntegerSet, count: int, cap: int) -> MinimaReport:
     return MinimaReport(tuple(minima), tuple(minimizers), cap, True)
 
 
+def _l1(v) -> int:
+    return sum(map(abs, v))
+
+
+def _gauss_minima(rows) -> tuple[int, int]:
+    """(lambda_1, lambda_2) of the rank-2 lattice with basis `rows`, by Gauss
+    reduction in the L1 norm (Kaib & Schnorr, "The generalized Gauss
+    reduction algorithm", J. Algorithms 21, 1996).
+
+    With ||b1|| <= ||b2||, each step replaces b2 by the shortest b2 - mu*b1,
+    mu integral. ||b2 - t*b1|| is convex and piecewise linear in t with
+    breakpoints b2_i / b1_i, so a real minimizer is a breakpoint and an
+    integral one is its floor or that plus 1. The loop swaps while the new
+    b2 is shorter than b1; each swap shortens b1, so it ends, and then
+    ||b1|| <= ||b2|| <= ||b2 - mu*b1|| for every integer mu, the reduced
+    condition under which ||b1||, ||b2|| are the two minima for any norm.
+    """
+    b1, b2 = sorted(rows, key=_l1)
+    n1 = _l1(b1)
+    while True:
+        mus = {y // x + e for x, y in zip(b1, b2) if x for e in (0, 1)}
+        b2 = min(([y - mu * x for x, y in zip(b1, b2)] for mu in mus), key=_l1)
+        n2 = _l1(b2)
+        if n2 >= n1:
+            return n1, n2
+        b1, b2, n1 = b2, b1, n2
+
+
 # The first ball find_minima sweeps; each retry doubles it.
 _START_CAP = 16
 
 
-def find_minima(A: IntegerSet, count: int, max_cap: int = 4096) -> MinimaReport:
-    """successive_minima with a doubling cap schedule.
-
-    Sweeping a ball costs about cap^(k-3) * (cap/m + 1) steps, where m is
-    the step of the last free coordinate's congruence (see lattice_shells),
-    so starting small and doubling until the requested minima appear keeps
-    the cost near the cheapest sufficient cap. The final report is still
-    certified for its cap; if max_cap is reached without `count` minima
-    the report comes back truncated rather than wrong.
-    """
+def _cap_schedule(max_cap: int):
+    """16, 32, 64, ... clipped to max_cap, ending at max_cap."""
     cap = min(_START_CAP, max_cap)
-    while True:
-        report = successive_minima(A, count, cap)
-        if not report.truncated or cap >= max_cap:
-            return report
+    yield cap
+    while cap < max_cap:
         cap = min(cap * 2, max_cap)
+        yield cap
+
+
+def find_minima(A: IntegerSet, count: int, max_cap: int = 4096) -> MinimaReport:
+    """successive_minima at the smallest sufficient cap.
+
+    At k = 4 the lattice has rank 2, and L1 Gauss reduction of its kernel
+    basis gives lambda_count exactly (see _gauss_minima). One sweep at
+    min(lambda_count, max_cap) then enumerates every vector up to that
+    norm, so its minima and canonical minimizers are certified by the
+    sweep itself, and it comes back truncated exactly when lambda_count >
+    max_cap. At k = 3 and k >= 5 the caps 16, 32, 64, ... are swept in
+    turn until the requested minima appear or max_cap is reached: sweeping
+    a ball costs about cap^(k-3) * (cap/m + 1) steps, with m the step of
+    the last free coordinate's congruence (see lattice_shells), so doubling
+    keeps the cost near the cheapest sufficient cap.
+
+    Either way the report's `cap` is the first cap of that schedule at or
+    above lambda_count (max_cap when truncated), and the rest of the
+    report is what a sweep at that cap returns. count and max_cap are
+    checked up front, as successive_minima checks count and cap.
+    """
+    _check_minima_args(A, count, max_cap)
+    if A.k == 4:
+        need = min(_gauss_minima(coefficient_lattice_basis(A).rows)[count - 1], max_cap)
+        report = successive_minima(A, count, need)
+        return replace(report, cap=next(c for c in _cap_schedule(max_cap) if c >= need))
+    for cap in _cap_schedule(max_cap):
+        report = successive_minima(A, count, cap)
+        if not report.truncated:
+            break
+    return report

@@ -262,6 +262,19 @@ def test_negative_seed_is_usage_error(argv, seed, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "random", "--k", "4", "--h", "3", "--samples", "10"],
+        ["experiment", "minima-stats", "--k", "4", "--samples", "10", "--cap", "64"],
+    ],
+)
+def test_sampled_n_beyond_two_to_the_63_is_computation_error(argv, capsys):
+    code, out, err = run_cli(capsys, argv + ["--n", str(2**64)])
+    assert code == 1 and out == ""
+    assert err == f"error: sampled runs need n <= 2^63 = {2**63}\n"
+
+
 @pytest.mark.parametrize("n, k", [("3", "4"), ("50", "2")])
 def test_minima_stats_needs_n_at_least_k_at_least_3(n, k, capsys):
     code, out, err = run_cli(capsys, ["experiment", "minima-stats", "--n", n, "--k", k,

@@ -266,6 +266,31 @@ def test_config_validation():
         ExperimentConfig(n=10, k=4, h=2, samples=1, workers=0)
 
 
+def test_negative_seed_is_rejected_up_front():
+    # numpy would only reject it inside a shard, with its own message
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        ExperimentConfig(n=10, k=3, h=2, samples=5, seed=-1)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        minima_statistics(50, 4, 10, seed=-3, cap=64)
+    assert minima_statistics(50, 4, 10, seed=0, cap=64)["config"]["seed"] == 0
+
+
+def test_sampled_runs_need_n_at_most_two_to_the_63():
+    # the sampler draws int64 values on [j, n): n = 2^63 still runs, and a
+    # larger n is rejected before numpy's own bounds error
+    big = ExperimentConfig(n=2**63, k=4, h=3, samples=10)
+    assert random_subset_experiment(big)[0].total == 10
+    assert minima_statistics(2**63, 4, 10, seed=1, cap=16)["minima"][0]["truncated"] == 10
+    for n in (2**63 + 1, 2**64):
+        with pytest.raises(ValueError, match=r"n <= 2\^63"):
+            random_subset_experiment(ExperimentConfig(n=n, k=4, h=3, samples=10))
+        with pytest.raises(ValueError, match=r"n <= 2\^63"):
+            minima_statistics(n, 4, 10, seed=1, cap=64)
+    # exhaustive runs draw nothing; their subset budget is what stops them
+    with pytest.raises(CapExceeded):
+        random_subset_experiment(ExperimentConfig(n=2**64, k=2, h=2, samples=0))
+
+
 def test_exhaustive_scan_matches_brute_force():
     hist = exhaustive_scan(12, 3, 2)
     assert hist.total == binomial(12, 3)

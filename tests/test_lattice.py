@@ -1,10 +1,12 @@
 import itertools
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumsetlab import lattice
 from sumsetlab.core import IntegerSet
 from sumsetlab.lattice import (
     LatticeBasis,
@@ -13,6 +15,7 @@ from sumsetlab.lattice import (
     lattice_shells,
     successive_minima,
 )
+from sumsetlab.theory import construct_lemma_set
 
 
 def naive_ball(A, cap):
@@ -66,6 +69,60 @@ def scan_shells(a: tuple[int, ...], cap: int) -> dict[int, list[tuple[int, ...]]
 
     assign(0, cap, True, 0, 0)
     return shells
+
+
+def recursive_shells(A: IntegerSet, cap: int) -> dict[int, list[tuple[int, ...]]]:
+    """Order oracle for lattice_shells: the enumerator that makes one
+    recursive call per value of every scanned coordinate, c_{k-3} included,
+    and steps c_{k-2} over its congruence in the innermost call."""
+    a = A.elements
+    k = A.k
+    ak = a[-1]
+    det = ak - a[-2]
+    slope = a[-3] - ak
+    u = slope % det
+    g = gcd(u, det)
+    m = det // g
+    inv = pow(u // g, -1, m)
+    shells: dict[int, list[tuple[int, ...]]] = {}
+    prefix = [0] * (k - 3)
+
+    def assign(i: int, budget: int, leading: bool, s: int, d: int) -> None:
+        lo = 0 if leading else -budget
+        if i < k - 3:
+            ai = a[i]
+            for c in range(lo, budget + 1):
+                prefix[i] = c
+                assign(i + 1, budget - abs(c), leading and c == 0, s + c, d + ai * c)
+            prefix[i] = 0
+            return
+        r = d - ak * s
+        if r % g:
+            return
+        head = tuple(prefix)
+        used = cap - budget
+        for c in range(lo + (inv * (-r // g) - lo) % m, budget + 1, m):
+            cm1 = (r + slope * c) // det
+            ck = -s - c - cm1
+            tail = abs(c) + abs(cm1) + abs(ck)
+            if tail <= budget:
+                norm = used + tail
+                if norm:
+                    shells.setdefault(norm, []).append(head + (c, cm1, ck))
+
+    assign(0, cap, True, 0, 0)
+    return shells
+
+
+def doubling_find_minima(A: IntegerSet, count: int, max_cap: int) -> lattice.MinimaReport:
+    """Slow oracle for find_minima: sweep 16, 32, 64, ... (clipped to
+    max_cap) until the requested minima appear or max_cap is reached."""
+    cap = min(16, max_cap)
+    while True:
+        report = successive_minima(A, count, cap)
+        if not report.truncated or cap >= max_cap:
+            return report
+        cap = min(cap * 2, max_cap)
 
 
 def sorted_shells(shells):
@@ -255,26 +312,31 @@ def test_shells_match_scanning_oracle():
         elems.append(elems[-1] + rng.randint(1, rng.choice([20, 10_000])))
         A = IntegerSet(elems)
         cap = rng.randint(caps[k] // 2, caps[k])
-        assert sorted_shells(lattice_shells(A, cap)) == sorted_shells(scan_shells(A.elements, cap))
+        shells = lattice_shells(A, cap)
+        assert sorted_shells(shells) == sorted_shells(scan_shells(A.elements, cap))
+        # key order and list order too: c_{k-3} is looped inline and must
+        # emit as one call per value does
+        assert list(shells.items()) == list(recursive_shells(A, cap).items())
 
 
-@pytest.mark.parametrize(
-    "elems, cap",
-    [
-        ((0, 2, 18, 19), 60),  # det = 1, so m = 1: every c_{k-2} solves
-        ((-7, 3, 40, 41, 42), 14),  # det = 1 at k = 5
-        ((0, 3, 5, 7), 60),  # a_{k-2} = a_k (mod det): u = 0, g = det, m = 1
-        ((1, 10, 100, 190), 60),  # u = 0 with det = 90
-        ((-30, -20, -10, 10, 20, 30), 10),  # u = 0 at k = 6
-        ((0, 1, 3), 80),  # k = 3: no scanned coordinate
-        ((-50, 7, 100), 400),  # k = 3, both signs, det = 93, g = 3, m = 31
-        ((5, 6, 7), 40),  # k = 3, det = 1
-    ],
-)
+CONGRUENCE_EDGE_CASES = [
+    ((0, 2, 18, 19), 60),  # det = 1, so m = 1: every c_{k-2} solves
+    ((-7, 3, 40, 41, 42), 14),  # det = 1 at k = 5
+    ((0, 3, 5, 7), 60),  # a_{k-2} = a_k (mod det): u = 0, g = det, m = 1
+    ((1, 10, 100, 190), 60),  # u = 0 with det = 90
+    ((-30, -20, -10, 10, 20, 30), 10),  # u = 0 at k = 6
+    ((0, 1, 3), 80),  # k = 3: no scanned coordinate
+    ((-50, 7, 100), 400),  # k = 3, both signs, det = 93, g = 3, m = 31
+    ((5, 6, 7), 40),  # k = 3, det = 1
+]
+
+
+@pytest.mark.parametrize("elems, cap", CONGRUENCE_EDGE_CASES)
 def test_shells_congruence_edge_cases(elems, cap):
     A = IntegerSet(elems)
-    shells = sorted_shells(lattice_shells(A, cap))
-    assert shells == sorted_shells(scan_shells(A.elements, cap))
+    shells = lattice_shells(A, cap)
+    assert sorted_shells(shells) == sorted_shells(scan_shells(A.elements, cap))
+    assert list(shells.items()) == list(recursive_shells(A, cap).items())
     assert shells  # each case has vectors within its cap
 
 
@@ -291,3 +353,97 @@ def small_lattice_cases(draw):
 def test_shells_property_against_naive_ball(case):
     A, cap = case
     assert sorted_shells(lattice_shells(A, cap)) == canonical_naive_shells(A, cap)
+
+
+@st.composite
+def k4_minima_cases(draw):
+    span = draw(st.sampled_from([8, 60, 10_000, 10**6]))
+    elems = draw(st.lists(st.integers(-span, span), min_size=4, max_size=4, unique=True))
+    return IntegerSet(elems), draw(st.integers(1, 2)), draw(st.sampled_from([4, 8, 16, 64]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(k4_minima_cases())
+def test_k4_find_minima_matches_doubling_oracle(case):
+    # the whole report, cap and truncated included
+    A, count, max_cap = case
+    assert find_minima(A, count, max_cap) == doubling_find_minima(A, count, max_cap)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-60, 60), min_size=4, max_size=4, unique=True))
+def test_gauss_minima_are_the_swept_minima(elems):
+    # an overestimate would still sweep the right minima, so check the
+    # reduction's own values against a certified sweep
+    A = IntegerSet(elems)
+    rep = doubling_find_minima(A, 2, 4096)
+    assert not rep.truncated
+    assert lattice._gauss_minima(coefficient_lattice_basis(A).rows) == rep.minima
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        IntegerSet([0, 1, 3, 4]),  # minima (4, 6)
+        construct_lemma_set(2, 2),  # equal minima (4, 4)
+        construct_lemma_set(5, 5),  # equal minima (10, 10)
+        construct_lemma_set(3, 7),
+        IntegerSet([1, 5, 96, 100]),  # minima (4, 190): truncated below 190
+        IntegerSet([-10**6, -3, 17, 999_983]),
+    ],
+)
+@pytest.mark.parametrize("max_cap", [4, 8, 16, 64, 100, 256])
+def test_k4_find_minima_matches_doubling_oracle_on_named_sets(A, max_cap):
+    for count in (1, 2):
+        assert find_minima(A, count, max_cap) == doubling_find_minima(A, count, max_cap)
+
+
+def test_k4_find_minima_sweeps_once(monkeypatch):
+    caps = []
+    sweep = lattice.successive_minima
+
+    def counted(A, count, cap):
+        caps.append(cap)
+        return sweep(A, count, cap)
+
+    monkeypatch.setattr(lattice, "successive_minima", counted)
+    A = IntegerSet([1, 5, 96, 100])
+    rep = find_minima(A, 2, max_cap=1024)
+    assert caps == [190] and rep.minima == (4, 190) and rep.cap == 256
+    caps.clear()
+    rep = find_minima(A, 2, max_cap=64)  # lambda_2 = 190 > max_cap
+    assert caps == [64] and rep.truncated and rep.minima == (4,) and rep.cap == 64
+
+
+def test_gauss_minima_equal_minima_and_either_row_order():
+    for a, b in [(2, 2), (3, 3), (2, 9), (6, 11)]:
+        rows = coefficient_lattice_basis(construct_lemma_set(a, b)).rows
+        assert lattice._gauss_minima(rows) == (2 * a, 2 * b)
+        assert lattice._gauss_minima(rows[::-1]) == (2 * a, 2 * b)
+
+
+@pytest.mark.parametrize(
+    "elems, count, max_cap, message",
+    [
+        ((0, 2, 18, 25), 0, 64, r"count must be in \[1, 2\]"),
+        ((0, 2, 18, 25), 3, 64, r"count must be in \[1, 2\]"),
+        ((0, 2, 18, 25), 1, 2, "cap must be an even integer >= 4"),
+        # lambda_1 = 8, so a sweep at min(lambda_1, max_cap) alone would pass
+        ((0, 2, 18, 25), 1, 9, "cap must be an even integer >= 4"),
+        # the doubling loop used to accept this one: lambda_2 = 18, so it
+        # stopped at cap 32 and never swept the odd max_cap
+        ((0, 2, 18, 25), 2, 1025, "cap must be an even integer >= 4"),
+        ((0, 1, 3, 4), 1, -4, "cap must be an even integer >= 4"),
+        ((1, 2), 1, 64, "successive minima need k >= 3"),
+    ],
+)
+def test_find_minima_rejects_bad_arguments_before_reducing(monkeypatch, elems, count, max_cap, message):
+    def no_reduction(rows):
+        raise AssertionError("reduction ran before the arguments were checked")
+
+    monkeypatch.setattr(lattice, "_gauss_minima", no_reduction)
+    with pytest.raises(ValueError, match=message):
+        find_minima(IntegerSet(elems), count, max_cap)
+    # the message successive_minima gives for the same count and cap
+    with pytest.raises(ValueError, match=message):
+        successive_minima(IntegerSet(elems), count, max_cap)
