@@ -37,8 +37,6 @@ def _default_workers() -> int:
 def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:
     fmt = getattr(args, "format", "json")
     if fmt == "csv":
-        if csv_rows is None:
-            raise ValueError("this subcommand has no CSV form; use --format json")
         buf = io.StringIO()
         writer = csv.writer(buf)
         if csv_header:
@@ -102,8 +100,10 @@ _positive_int = _int_at_least(1, "positive")  # --workers
 _nonnegative_int = _int_at_least(0, "nonnegative")  # --seed
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+def _add_common(p: argparse.ArgumentParser, has_csv: bool = False) -> None:
+    """--format (csv only for subcommands with a CSV form) and --out."""
+    formats = ("json", "csv", "text") if has_csv else ("json", "text")
+    p.add_argument("--format", choices=formats, default="json")
     p.add_argument("--out", help="write the report to this path instead of stdout")
 
 
@@ -142,8 +142,6 @@ def _verify_one(A: IntegerSet, max_cap: int) -> dict:
 
 
 def _cmd_theory_verify(args) -> None:
-    if bool(args.set) == bool(args.file):
-        raise ValueError("give exactly one of --set or --file")
     if args.set:
         _emit(args, _verify_one(args.set, args.max_cap))
         return
@@ -276,20 +274,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="sizes, deficits, and first differences for h=1..H")
     p.add_argument("--set", type=_int_set, required=True)
     p.add_argument("--horizon", type=int, required=True)
-    _add_common(p)
+    _add_common(p, has_csv=True)
     p.set_defaults(func=_cmd_sumset_profile)
 
     g = top.add_parser("lattice", help="coefficient lattice of a set")
     sub = g.add_subparsers(dest="cmd", required=True)
     p = sub.add_parser("basis", help="integer kernel basis")
     p.add_argument("--set", type=_int_set, required=True)
-    _add_common(p)
+    _add_common(p, has_csv=True)
     p.set_defaults(func=_cmd_lattice_basis)
     p = sub.add_parser("minima", help="successive L1 minima and minimizers")
     p.add_argument("--set", type=_int_set, required=True)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--cap", type=_even_cap, required=True)
-    _add_common(p)
+    _add_common(p, has_csv=True)
     p.set_defaults(func=_cmd_lattice_minima)
 
     g = top.add_parser("theory", help="size predictions, verification, constructions")
@@ -301,8 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_theory_predict)
     p = sub.add_parser("verify", help="brute force vs prediction below the second minimum")
-    p.add_argument("--set", type=_int_set)
-    p.add_argument("--file", help="path with one comma-separated set per line")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--set", type=_int_set)
+    source.add_argument("--file", help="path with one comma-separated set per line")
     p.add_argument("--max-cap", type=_even_cap, default=4096)
     _add_common(p)
     p.set_defaults(func=_cmd_theory_verify)
@@ -319,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extremes", help="min, max, and realizable sizes with witnesses")
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    _add_common(p)
+    _add_common(p, has_csv=True)
     p.set_defaults(func=_cmd_theory_extremes)
 
     g = top.add_parser("types", help="addition-table types and transport")
@@ -362,14 +361,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--workers", type=_positive_int, default=workers)
-    _add_common(p)
+    _add_common(p, has_csv=True)
     p.set_defaults(func=_cmd_exp_random)
     p = sub.add_parser("scan", help="|hA| histogram over all k-subsets of [n]")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--workers", type=_positive_int, default=workers)
-    _add_common(p)
+    _add_common(p, has_csv=True)
     p.set_defaults(func=_cmd_exp_scan)
     p = sub.add_parser("minima-stats", help="first-minima statistics over random subsets")
     p.add_argument("--n", type=int, required=True)
@@ -379,13 +378,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=_even_cap, required=True)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--workers", type=_positive_int, default=workers)
-    _add_common(p)
+    _add_common(p, has_csv=True)
     p.set_defaults(func=_cmd_exp_minima)
     p = sub.add_parser("type-census", help="distinct h-types over all k-subsets of [n]")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
-    _add_common(p)
+    _add_common(p, has_csv=True)
     p.set_defaults(func=_cmd_exp_census)
 
     return parser

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CapExceeded, IntegerSet, binomial, enumerate_compositions
-from .lattice import find_minima
+from .lattice import _check_minima_args, find_minima
 from .sumset import fold_size
 from .theory import popular_sizes
 from .types import _partition_by
@@ -282,10 +282,7 @@ def minima_statistics(
         raise ValueError("samples must be positive")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    if not 1 <= count <= k - 2:
-        raise ValueError(f"count must be in [1, {k - 2}]")
-    if cap < 4 or cap % 2:
-        raise ValueError("cap must be an even integer >= 4")
+    _check_minima_args(k, count, cap)
     jobs = [
         (n, k, seed, shard, per, cap, count)
         for shard, per in enumerate(_shard_sizes(samples, SHARD_COUNT))

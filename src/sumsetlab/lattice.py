@@ -243,11 +243,11 @@ class MinimaReport:
         }
 
 
-def _check_minima_args(A: IntegerSet, count: int, cap: int) -> None:
-    if A.k < 3:
+def _check_minima_args(k: int, count: int, cap: int) -> None:
+    if k < 3:
         raise ValueError("successive minima need k >= 3")
-    if not 1 <= count <= A.k - 2:
-        raise ValueError(f"count must be in [1, {A.k - 2}]")
+    if not 1 <= count <= k - 2:
+        raise ValueError(f"count must be in [1, {k - 2}]")
     if cap < 4 or cap % 2:
         raise ValueError("cap must be an even integer >= 4")
 
@@ -258,7 +258,7 @@ def successive_minima(A: IntegerSet, count: int, cap: int) -> MinimaReport:
 
     count must be between 1 and k-2; cap must be even and at least 4.
     """
-    _check_minima_args(A, count, cap)
+    _check_minima_args(A.k, count, cap)
     shells = lattice_shells(A, cap)
     minima: list[int] = []
     minimizers: list[tuple[int, ...]] = []
@@ -333,7 +333,7 @@ def find_minima(A: IntegerSet, count: int, max_cap: int = 4096) -> MinimaReport:
     report is what a sweep at that cap returns. count and max_cap are
     checked up front, as successive_minima checks count and cap.
     """
-    _check_minima_args(A, count, max_cap)
+    _check_minima_args(A.k, count, max_cap)
     if A.k == 4:
         need = min(_gauss_minima(coefficient_lattice_basis(A).rows)[count - 1], max_cap)
         report = successive_minima(A, count, need)

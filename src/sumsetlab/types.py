@@ -23,17 +23,21 @@ Three transports are implemented, all exact:
     verbatim.
 
   * product_to_sum: the same box-collision scan applied to the base-2
-    logarithms of the elements. Logarithms are irrational, so they are
-    handled symbolically: every quantity in the scan is a rational linear
-    combination of 1 and log2(p) for odd primes p, represented exactly by
-    its coefficient vector (class LogLinear). Equality against a rational
-    is decided by the coefficients alone (the basis is linearly
-    independent over Q by unique factorization); strict comparisons are
-    decided by interval evaluation at escalating precision. Only nonzero
-    values reach it, so some precision settles each one; past the last
-    entry of PRECISION_SCHEDULE it raises PrecisionExhaustedError. The
-    output set is verified against the product type by exact big-integer
-    products before being returned.
+    logarithms of the elements, handled symbolically. Every quantity the
+    scan compares is q + c*log2(r) for one positive rational r: a scaled
+    element log, or the log of a ratio m2/m1 of two h-fold products.
+    Writing r = 2**e * a/b with a, b odd and coprime, the value is
+    q + c*e + c*log2(a/b) (class LogLinear), and log2(a/b) is rational only
+    when a = b = 1: log2(a/b) = u/v with v > 0 gives a**v = 2**u * b**v,
+    where a**v and b**v are odd, so u = 0 and then a = b, which coprimality
+    makes 1. So a value is rational exactly when c = 0 or a = b = 1,
+    decided without factoring anything. Floors and strict signs of
+    irrational values are decided by interval evaluation at escalating
+    precision; an irrational value is never an integer or zero, so some
+    precision settles each one, and past the last entry of
+    PRECISION_SCHEDULE it raises PrecisionExhaustedError. The output set
+    is verified against the product type by exact big-integer products
+    before being returned.
 """
 
 from __future__ import annotations
@@ -49,11 +53,6 @@ from .core import CapExceeded, IntegerSet, RationalSet, enumerate_compositions
 PRECISION_SCHEDULE = (64, 128, 256, 512, 1024, 2048, 4096)
 
 DEFAULT_POWER_BIT_BUDGET = 1_000_000
-
-# Trial divisors `_factorize` may try (2, 3, 5, ..., 2*budget - 1): enough
-# for every integer whose cofactor after dividing out the primes below
-# 2*10^6 is below 4*10^12, so for every integer below 4*10^12.
-FACTOR_TRIAL_BUDGET = 1_000_000
 
 # Dilation steps the box-collision scan may take. The pigeonhole bound
 # (2h)**(k-2) + 1 outgrows any time budget once k is large (12**12 + 1 for
@@ -228,38 +227,22 @@ def sum_to_product(S: IntegerSet) -> IntegerSet:
 
 
 # ---------------------------------------------------------------------------
-# Exact arithmetic on rational combinations of {1, log2 p : p odd prime}
-
-
-def _factorize(n: int) -> dict[int, int]:
-    """Trial-division factorization; intended for desk-scale inputs. Raises
-    CapExceeded when it would need more than FACTOR_TRIAL_BUDGET divisors."""
-    out: dict[int, int] = {}
-    d = 2
-    last = 2 * FACTOR_TRIAL_BUDGET - 1
-    while d * d <= n:
-        if d > last:
-            raise CapExceeded(
-                f"factoring needs more than {FACTOR_TRIAL_BUDGET} trial divisors (cofactor {n})"
-            )
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+# Exact arithmetic on numbers q + c*log2(a/b), a and b odd and coprime
 
 
 _LOG2_CACHE: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
 
 
-def _log2_bounds(p: int, bits: int) -> tuple[Fraction, Fraction]:
-    """Dyadic interval certainly containing log2(p), width 2**(1-bits)."""
-    key = (p, bits)
+def _log2_bounds(n: int, bits: int) -> tuple[Fraction, Fraction]:
+    """Dyadic interval certainly containing log2(n), n >= 1, width
+    2**(1-bits). The rounding error is relative, and log2(n) is below
+    n.bit_length(), so the working precision carries
+    n.bit_length().bit_length() guard bits to keep the absolute error
+    below the margin for arbitrarily large n."""
+    key = (n, bits)
     if key not in _LOG2_CACHE:
-        with mpmath.workprec(bits + 16):
-            x = mpmath.log(p) / mpmath.log(2)
+        with mpmath.workprec(bits + 16 + n.bit_length().bit_length()):
+            x = mpmath.log(n) / mpmath.log(2)
         sign, man, exp, _ = x._mpf_
         mid = Fraction((-1) ** sign * int(man)) * Fraction(2) ** exp
         margin = Fraction(1, 1 << bits)
@@ -268,52 +251,50 @@ def _log2_bounds(p: int, bits: int) -> tuple[Fraction, Fraction]:
 
 
 class LogLinear:
-    """An exact number of the form rat + sum_p coeff[p] * log2(p), over odd
-    primes p. The representation is unique, so the number is zero (or
-    rational) precisely when the coefficient dict is empty (and rat is 0).
+    """An exact number rat + coeff * log2(num/den), with num and den odd
+    and coprime. log2(num/den) is irrational unless num = den = 1, so the
+    number is rational precisely when coeff is 0 or num = den = 1.
     """
 
-    __slots__ = ("rat", "coeffs")
+    __slots__ = ("rat", "coeff", "num", "den")
 
-    def __init__(self, rat: Fraction = Fraction(0), coeffs: dict[int, Fraction] | None = None):
-        self.rat = Fraction(rat)
-        self.coeffs = {p: c for p, c in (coeffs or {}).items() if c}
+    def __init__(self, rat: Fraction | int = 0, coeff: Fraction | int = 0, num: int = 1, den: int = 1):
+        self.rat = rat
+        self.coeff = coeff
+        self.num = num
+        self.den = den
 
     @classmethod
-    def log2_of(cls, n: int) -> "LogLinear":
-        if n < 1:
-            raise ValueError("log2 of a nonpositive integer")
-        factors = _factorize(n) if n > 1 else {}
-        rat = Fraction(factors.pop(2, 0))
-        return cls(rat, {p: Fraction(e) for p, e in factors.items()})
+    def log2_of(cls, r) -> "LogLinear":
+        """log2 of a positive integer or Fraction."""
+        r = Fraction(r)
+        if r <= 0:
+            raise ValueError("log2 of a nonpositive number")
+        a, b = r.numerator, r.denominator
+        ta = (a & -a).bit_length() - 1
+        tb = (b & -b).bit_length() - 1
+        return cls(ta - tb, 1, a >> ta, b >> tb)
 
     def scaled(self, m: int) -> "LogLinear":
-        return LogLinear(self.rat * m, {p: c * m for p, c in self.coeffs.items()})
+        return LogLinear(self.rat * m, self.coeff * m, self.num, self.den)
 
     def plus_rational(self, r: Fraction) -> "LogLinear":
-        return LogLinear(self.rat + r, self.coeffs)
-
-    def minus(self, other: "LogLinear") -> "LogLinear":
-        co = dict(self.coeffs)
-        for p, c in other.coeffs.items():
-            co[p] = co.get(p, Fraction(0)) - c
-        return LogLinear(self.rat - other.rat, co)
+        return LogLinear(self.rat + r, self.coeff, self.num, self.den)
 
     @property
     def is_rational(self) -> bool:
-        return not self.coeffs
+        return self.coeff == 0 or self.num == self.den == 1
 
     def bounds(self, bits: int) -> tuple[Fraction, Fraction]:
-        lo = hi = self.rat
-        for p, c in self.coeffs.items():
-            blo, bhi = _log2_bounds(p, bits)
-            if c >= 0:
-                lo += c * blo
-                hi += c * bhi
-            else:
-                lo += c * bhi
-                hi += c * blo
-        return lo, hi
+        lo = hi = Fraction(0)
+        if self.num > 1:
+            lo, hi = _log2_bounds(self.num, bits)
+        if self.den > 1:
+            dlo, dhi = _log2_bounds(self.den, bits)
+            lo, hi = lo - dhi, hi - dlo
+        if self.coeff < 0:
+            lo, hi = hi, lo
+        return self.rat + self.coeff * lo, self.rat + self.coeff * hi
 
     def floor(self) -> int:
         """Exact floor. Rational values short-circuit; irrational values
@@ -321,7 +302,7 @@ class LogLinear:
         precision, and PrecisionExhaustedError is raised when no entry of
         PRECISION_SCHEDULE does."""
         if self.is_rational:
-            return self.rat.__floor__()
+            return math.floor(self.rat)
         for bits in PRECISION_SCHEDULE:
             lo, hi = self.bounds(bits)
             flo = lo.__floor__()
@@ -371,7 +352,7 @@ def product_to_sum(P: IntegerSet, h: int) -> IntegerSet:
         raise ValueError("all h-fold products coincide")
     sep_lb = None
     for m1, m2 in zip(prods, prods[1:]):
-        gap = LogLinear.log2_of(m2).minus(LogLinear.log2_of(m1)).sign_lower_bound()
+        gap = LogLinear.log2_of(Fraction(m2, m1)).sign_lower_bound()
         sep_lb = gap if sep_lb is None else min(sep_lb, gap)
     q0 = math.ceil(Fraction(2) / sep_lb)
     Q = _collision_dilation(logs, lambda l, m: l.scaled(m).floor(), q0, h)

@@ -78,7 +78,6 @@ def test_readme_lists_every_budget_constant():
         "experiments.DEFAULT_SUBSET_BUDGET",
         "types.DEFAULT_POWER_BIT_BUDGET",
         "types.PRECISION_SCHEDULE",
-        "types.FACTOR_TRIAL_BUDGET",
         "types.DILATION_STEP_BUDGET",
     } <= constants.keys()
     assert listed == constants

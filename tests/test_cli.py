@@ -316,10 +316,27 @@ def test_python_dash_m_runs_the_cli(capsys):
 
 
 def test_csv_unavailable_is_reported(capsys):
-    code, _, err = run_cli(capsys, ["theory", "predict", "--h", "3", "--k", "4", "--h1", "4",
-                                    "--format", "csv"])
-    assert code == 1
-    assert "CSV" in err or "csv" in err
+    # only subcommands with a CSV form offer it; asking elsewhere is a usage error
+    for argv in (["theory", "predict", "--h", "3", "--k", "4", "--h1", "4"],
+                 ["sumset", "compute", "--set", "0,1", "--h", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--format", "csv"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theory", "verify"],
+        ["theory", "verify", "--set", "0,2,18,25", "--file", "sets.txt"],
+    ],
+)
+def test_verify_needs_exactly_one_source(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--set" in capsys.readouterr().err
 
 
 def test_main_builds_parser_once(monkeypatch, capsys):

@@ -18,14 +18,24 @@ from sumsetlab.lattice import (
 from sumsetlab.theory import construct_lemma_set
 
 
+def _l1_heads(n, radius):
+    """Every integer n-tuple with L1 norm <= radius, in lexicographic order."""
+    if n == 0:
+        yield ()
+        return
+    for x in range(-radius, radius + 1):
+        for rest in _l1_heads(n - 1, radius - abs(x)):
+            yield (x,) + rest
+
+
 def naive_ball(A, cap):
     """Oracle: every nonzero lattice vector with L1 norm <= cap, found by
-    scanning all integer vectors whose first k-1 coordinates lie in
-    [-cap, cap] and whose last coordinate balances the sum."""
+    scanning all integer vectors whose first k-1 coordinates have L1 norm
+    <= cap and whose last coordinate balances the sum."""
     a = A.elements
     k = len(a)
     out = []
-    for head in itertools.product(range(-cap, cap + 1), repeat=k - 1):
+    for head in _l1_heads(k - 1, cap):
         last = -sum(head)
         vec = head + (last,)
         if vec == (0,) * k:

@@ -1,16 +1,19 @@
+import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from sumsetlab import types
 from sumsetlab.cli import main
-from sumsetlab.core import CapExceeded, IntegerSet, RationalSet, binomial
+from sumsetlab.core import CapExceeded, IntegerSet, RationalSet, binomial, enumerate_compositions
 from sumsetlab.sumset import fold_size
 from sumsetlab.types import (
     LogLinear,
     PrecisionExhaustedError,
-    _factorize,
+    _collision_dilation,
+    _log2_bounds,
     embed_real_to_integers,
     h_type,
     product_to_sum,
@@ -189,34 +192,14 @@ def test_product_type_needs_positive():
         product_type(IntegerSet([0, 2]), 2)
 
 
-def test_factorize():
-    assert _factorize(360) == {2: 3, 3: 2, 5: 1}
-    assert _factorize(97) == {97: 1}
-
-
-def test_factorize_budget(monkeypatch):
-    mersenne = 2**61 - 1  # prime: trial division would run to 2**30.5
-    with pytest.raises(CapExceeded):
-        _factorize(mersenne)
-    with pytest.raises(CapExceeded):
-        product_to_sum(IntegerSet([2, mersenne]), 1)
-    # within budget: every prime factor found, the cofactor certified prime
-    assert _factorize(1999993 * 1999993) == {1999993: 2}
-    assert _factorize(2**40 * 3**5 * 1_000_003) == {2: 40, 3: 5, 1_000_003: 1}
-
-    # budget 3 allows the trial divisors 2, 3 and 5
-    monkeypatch.setattr(types, "FACTOR_TRIAL_BUDGET", 3)
-    assert _factorize(2**5 * 3 * 25) == {2: 5, 3: 1, 5: 2}
-    assert _factorize(2 * 3 * 5 * 7) == {2: 1, 3: 1, 5: 1, 7: 1}
-    assert _factorize(29) == {29: 1}
-    for needs_seven in (49, 7 * 11, 11 * 13):
-        with pytest.raises(CapExceeded):
-            _factorize(needs_seven)
-
-
-def test_to_sum_budget_is_a_computation_error(capsys):
-    assert main(["types", "to-sum", "--set", f"2,{2**61 - 1}", "--h", "1"]) == 1
-    assert "trial divisors" in capsys.readouterr().err
+def test_to_sum_of_a_large_prime_transports(capsys):
+    # 2**61 - 1 is prime; nothing is factored, so it transports at once
+    mersenne = 2**61 - 1
+    P = IntegerSet([2, mersenne])
+    assert main(["types", "to-sum", "--set", f"2,{mersenne}", "--h", "1"]) == 0
+    assert capsys.readouterr().out.count("result") == 1
+    for h in (1, 2, 3):
+        assert h_type(product_to_sum(P, h), h) == product_type(P, h)
 
 
 def test_log_linear_floor_and_rational_path():
@@ -229,9 +212,9 @@ def test_log_linear_floor_and_rational_path():
 
 def test_precision_exhausted_error(monkeypatch, capsys):
     x = LogLinear.log2_of(27)  # 3*log2(3) = 4.75...
-    near_zero = x.minus(LogLinear.log2_of(24))  # log2(9/8) = 0.17...
+    near_zero = LogLinear.log2_of(Fraction(27, 24))  # log2(9/8) = 0.17...
     assert x.floor() == 4 and near_zero.sign_lower_bound() > 0
-    # at 2 bits the interval around each log2(3) is 1/2 wide
+    # at 2 bits the interval around log2(27) and log2(9) is 1/2 wide
     monkeypatch.setattr(types, "PRECISION_SCHEDULE", (2,))
     for query in (x.floor, near_zero.sign_lower_bound):
         with pytest.raises(PrecisionExhaustedError) as exc:
@@ -294,3 +277,238 @@ def test_equal_types_equal_sizes():
     tx, ta = h_type(X, 2), h_type(A, 2)
     assert tx == ta
     assert tx.class_count == ta.class_count
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the transport as it was before LogLinear kept one logarithm. It
+# factors every element and product into odd primes and keeps one
+# coefficient per prime. Copied verbatim except for the names and the
+# module-level state it reads (its own log cache and trial budget).
+
+ORACLE_FACTOR_TRIAL_BUDGET = 1_000_000
+
+
+def oracle_factorize(n: int) -> dict[int, int]:
+    """Trial-division factorization; intended for desk-scale inputs. Raises
+    CapExceeded when it would need more than FACTOR_TRIAL_BUDGET divisors."""
+    out: dict[int, int] = {}
+    d = 2
+    last = 2 * ORACLE_FACTOR_TRIAL_BUDGET - 1
+    while d * d <= n:
+        if d > last:
+            raise CapExceeded(
+                f"factoring needs more than {ORACLE_FACTOR_TRIAL_BUDGET} trial divisors (cofactor {n})"
+            )
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+_ORACLE_LOG2_CACHE: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
+
+
+def oracle_log2_bounds(p: int, bits: int) -> tuple[Fraction, Fraction]:
+    """Dyadic interval certainly containing log2(p), width 2**(1-bits)."""
+    key = (p, bits)
+    if key not in _ORACLE_LOG2_CACHE:
+        with mpmath.workprec(bits + 16):
+            x = mpmath.log(p) / mpmath.log(2)
+        sign, man, exp, _ = x._mpf_
+        mid = Fraction((-1) ** sign * int(man)) * Fraction(2) ** exp
+        margin = Fraction(1, 1 << bits)
+        _ORACLE_LOG2_CACHE[key] = (mid - margin, mid + margin)
+    return _ORACLE_LOG2_CACHE[key]
+
+
+class PrimeLogLinear:
+    """An exact number of the form rat + sum_p coeff[p] * log2(p), over odd
+    primes p. The representation is unique, so the number is zero (or
+    rational) precisely when the coefficient dict is empty (and rat is 0).
+    """
+
+    __slots__ = ("rat", "coeffs")
+
+    def __init__(self, rat: Fraction = Fraction(0), coeffs: dict[int, Fraction] | None = None):
+        self.rat = Fraction(rat)
+        self.coeffs = {p: c for p, c in (coeffs or {}).items() if c}
+
+    @classmethod
+    def log2_of(cls, n: int) -> "PrimeLogLinear":
+        if n < 1:
+            raise ValueError("log2 of a nonpositive integer")
+        factors = oracle_factorize(n) if n > 1 else {}
+        rat = Fraction(factors.pop(2, 0))
+        return cls(rat, {p: Fraction(e) for p, e in factors.items()})
+
+    def scaled(self, m: int) -> "PrimeLogLinear":
+        return PrimeLogLinear(self.rat * m, {p: c * m for p, c in self.coeffs.items()})
+
+    def plus_rational(self, r: Fraction) -> "PrimeLogLinear":
+        return PrimeLogLinear(self.rat + r, self.coeffs)
+
+    def minus(self, other: "PrimeLogLinear") -> "PrimeLogLinear":
+        co = dict(self.coeffs)
+        for p, c in other.coeffs.items():
+            co[p] = co.get(p, Fraction(0)) - c
+        return PrimeLogLinear(self.rat - other.rat, co)
+
+    @property
+    def is_rational(self) -> bool:
+        return not self.coeffs
+
+    def bounds(self, bits: int) -> tuple[Fraction, Fraction]:
+        lo = hi = self.rat
+        for p, c in self.coeffs.items():
+            blo, bhi = oracle_log2_bounds(p, bits)
+            if c >= 0:
+                lo += c * blo
+                hi += c * bhi
+            else:
+                lo += c * bhi
+                hi += c * blo
+        return lo, hi
+
+    def floor(self) -> int:
+        """Exact floor. Rational values short-circuit; irrational values
+        are never integers, so interval refinement settles at some
+        precision, and PrecisionExhaustedError is raised when no entry of
+        PRECISION_SCHEDULE does."""
+        if self.is_rational:
+            return self.rat.__floor__()
+        for bits in types.PRECISION_SCHEDULE:
+            lo, hi = self.bounds(bits)
+            flo = lo.__floor__()
+            if flo == hi.__floor__():
+                return flo
+        raise PrecisionExhaustedError("floor of a log-linear value", types.PRECISION_SCHEDULE)
+
+    def sign_lower_bound(self) -> Fraction:
+        """A positive rational lower bound for a value known to be > 0,
+        from the first precision in PRECISION_SCHEDULE that yields one."""
+        if self.is_rational:
+            if self.rat <= 0:
+                raise ValueError("value is not positive")
+            return self.rat
+        for bits in types.PRECISION_SCHEDULE:
+            lo, _ = self.bounds(bits)
+            if lo > 0:
+                return lo
+        raise PrecisionExhaustedError("lower bound of a log-linear value", types.PRECISION_SCHEDULE)
+
+
+def oracle_product_to_sum(P: IntegerSet, h: int) -> IntegerSet:
+    """A set of nonnegative integers whose additive h-type equals the
+    multiplicative h-type of P (elements positive, k >= 2).
+
+    Runs the box-collision scan on {log2 p : p in P} with the LogLinear
+    representation, then verifies the claimed type identity exactly via
+    big-integer products before returning.
+    """
+    if h < 1:
+        raise ValueError("h must be positive")
+    k = P.k
+    if k < 2:
+        raise ValueError("transport needs at least two elements")
+    if P.elements[0] < 1:
+        raise ValueError("elements must be positive integers")
+
+    target = product_type(P, h)
+    logs = [PrimeLogLinear.log2_of(p) for p in P.elements]
+
+    # q0 >= 2 / sep_h(logs): the distinct h-fold products, sorted, give the
+    # distinct log sums in order, so consecutive gaps cover the minimum.
+    comps = enumerate_compositions(h, k)
+    prods = sorted({math.prod(p**c for p, c in zip(P.elements, comp) if c) for comp in comps})
+    if len(prods) < 2:
+        # only possible for P = {1}; excluded by k >= 2 with distinct elements
+        raise ValueError("all h-fold products coincide")
+    sep_lb = None
+    for m1, m2 in zip(prods, prods[1:]):
+        gap = PrimeLogLinear.log2_of(m2).minus(PrimeLogLinear.log2_of(m1)).sign_lower_bound()
+        sep_lb = gap if sep_lb is None else min(sep_lb, gap)
+    q0 = math.ceil(Fraction(2) / sep_lb)
+    Q = _collision_dilation(logs, lambda l, m: l.scaled(m).floor(), q0, h)
+
+    half = Fraction(1, 2)
+    members = [l.scaled(Q).plus_rational(half).floor() for l in logs]
+    A = IntegerSet(members)
+    if A.k != k or h_type(A, h) != target:
+        raise AssertionError("log-linear transport produced a wrong type; this is a bug")
+    return A
+
+
+def _transport_cases():
+    """3000 seeded (P, h): elements of [1, 40] and of [1, 2000], powers of
+    two (every log rational), 2^i 3^j (two primes shared by all), and
+    multiples of 6 (shared factors with odd cofactors)."""
+    rng = random.Random(1009)
+    pools = [
+        range(1, 41),
+        range(1, 2001),
+        [1 << i for i in range(40)],
+        [2**i * 3**j for i in range(10) for j in range(8)],
+        range(6, 601, 6),
+    ]
+    for i in range(3000):
+        pool = pools[i % len(pools)]
+        yield IntegerSet(rng.sample(pool, rng.randint(2, 5))), rng.randint(1, 3)
+
+
+def test_product_to_sum_matches_prime_factor_oracle():
+    for P, h in _transport_cases():
+        assert product_to_sum(P, h).elements == oracle_product_to_sum(P, h).elements, (P, h)
+
+
+def test_log_linear_floor_matches_bit_length():
+    # floor(m * log2 n) is the bit length of n**m, minus 1
+    rng = random.Random(1013)
+    cases = [(rng.randint(1, 10**rng.randint(1, 40)), rng.randint(1, 40)) for _ in range(400)]
+    cases += [(3**5000 + d, m) for d in (-2, -1, 0, 1, 2) for m in (1, 2, 3)]
+    cases += [(2**61 - 1, 61), (2**100, 3), (7 * 5**2000, 2)]
+    for n, m in cases:
+        assert LogLinear.log2_of(n).scaled(m).floor() == (n**m).bit_length() - 1, (n, m)
+
+
+def _log2_to_400_bits(r) -> Fraction:
+    with mpmath.workprec(400):
+        x = mpmath.log(mpmath.mpf(r.numerator) / r.denominator) / mpmath.log(2)
+    sign, man, exp, _ = x._mpf_
+    return Fraction((-1) ** sign * int(man)) * Fraction(2) ** exp
+
+
+def test_log2_bounds_contain_the_logarithm_of_huge_integers():
+    # log2 n ~ n.bit_length() needs guard bits beyond the 16 that serve
+    # small n; 3**200000 escapes a 64-bit interval without them
+    for n in (3**1000, 3**200000, 7 * 5**300001):
+        true = _log2_to_400_bits(n)
+        for bits in (64, 128):
+            lo, hi = _log2_bounds(n, bits)
+            assert lo + Fraction(1, 1 << 300) < true < hi - Fraction(1, 1 << 300), (n, bits)
+
+
+def test_log_linear_of_ratios_and_negative_scalings():
+    assert LogLinear.log2_of(Fraction(96, 3)).is_rational  # 32 = 2**5
+    assert LogLinear.log2_of(Fraction(96, 3)).rat == 5
+    x = LogLinear.log2_of(Fraction(45, 12))  # log2(15/4) = -2 + log2(15)
+    assert not x.is_rational and (x.rat, x.num, x.den) == (-2, 15, 1)
+    y = LogLinear.log2_of(Fraction(6, 20))  # log2(3/10) = -1 + log2(3/5)
+    assert (y.rat, y.num, y.den) == (-1, 3, 5)
+    assert y.scaled(0).is_rational and y.scaled(0).floor() == 0
+    assert y.floor() == -2  # log2(0.3) = -1.73...
+    with pytest.raises(ValueError):
+        LogLinear.log2_of(0)
+    # log2(5/3): the two logs' intervals subtract, so the widths add
+    lo, hi = LogLinear.log2_of(Fraction(5, 3)).bounds(64)
+    assert hi - lo == 4 * Fraction(1, 1 << 64)
+    assert lo < _log2_to_400_bits(Fraction(5, 3)) < hi
+    z = LogLinear.log2_of(Fraction(1, 3))  # num = 1: still irrational
+    assert not z.is_rational and z.floor() == -2
+    lo, hi = LogLinear.log2_of(3).scaled(-1).bounds(64)
+    assert lo < -_log2_to_400_bits(3) < hi
+    assert LogLinear.log2_of(3).scaled(-1).floor() == -2
+    assert LogLinear.log2_of(Fraction(5, 3)).scaled(-7).floor() == -6  # -5.16...
+    assert LogLinear.log2_of(Fraction(1, 3)).scaled(-2).sign_lower_bound() > 3
