@@ -16,8 +16,8 @@ Three transports are implemented, all exact:
     dilation Q with every Q*x_i within 1/(2h) of an integer. Rounding
     then preserves the h-type in both directions: equal sums stay equal
     because the total rounding error is below 1, distinct sums stay
-    distinct because Q >= q0 >= 2/sep_h(X). All arithmetic is Fraction
-    arithmetic; every box test is exact.
+    distinct because Q >= q0 >= 2/sep_h(X). All arithmetic is exact:
+    Fraction arithmetic, and the scan floors m*x as m*num // den.
 
   * sum_to_product: s -> 2**s turns equal sums into equal products
     verbatim.
@@ -35,13 +35,19 @@ Three transports are implemented, all exact:
     irrational values are decided by interval evaluation at escalating
     precision; an irrational value is never an integer or zero, so some
     precision settles each one, and past the last entry of
-    PRECISION_SCHEDULE it raises PrecisionExhaustedError. The output set
-    is verified against the product type by exact big-integer products
-    before being returned.
+    PRECISION_SCHEDULE it raises PrecisionExhaustedError. The intervals
+    are dyadic fixed point: mpmath supplies a midpoint of log2 n, held
+    with its margin as integers lo/2**s <= log2 n <= hi/2**s, and a
+    value's rational part and coefficient are put over one denominator
+    with them, so each floor and sign is a comparison of integers. The
+    only Fraction built is the positive lower bound a sign returns, which
+    fixes q0. The output set is verified against the product type by exact
+    big-integer products before being returned.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -198,7 +204,7 @@ def embed_real_to_integers(X, h: int) -> tuple[IntegerSet, EmbeddingTrace]:
 
     sep = separation(RationalSet(xs), h)
     q0 = math.ceil(Fraction(2) / sep)
-    Q = _collision_dilation(xs[1:-1], lambda x, m: (m * x).__floor__(), q0, h)
+    Q = _collision_dilation(xs[1:-1], lambda x, m: m * x.numerator // x.denominator, q0, h)
 
     members = []
     epsilons = []
@@ -230,24 +236,27 @@ def sum_to_product(S: IntegerSet) -> IntegerSet:
 # Exact arithmetic on numbers q + c*log2(a/b), a and b odd and coprime
 
 
-_LOG2_CACHE: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
+# Distinct (n, bits) intervals kept. The eight passes of the perfbench
+# types workload need 458 together; a process that keeps transporting
+# fresh sets evicts the least recently used.
+_LOG2_CACHE_SIZE = 1024
 
 
-def _log2_bounds(n: int, bits: int) -> tuple[Fraction, Fraction]:
-    """Dyadic interval certainly containing log2(n), n >= 1, width
+@functools.lru_cache(maxsize=_LOG2_CACHE_SIZE)
+def _log2_bounds(n: int, bits: int) -> tuple[int, int, int]:
+    """Integers (lo, hi, s) with lo/2**s < log2(n) < hi/2**s, n >= 1: the
+    dyadic interval mid +- 2**-bits around an mpmath midpoint mid, width
     2**(1-bits). The rounding error is relative, and log2(n) is below
     n.bit_length(), so the working precision carries
     n.bit_length().bit_length() guard bits to keep the absolute error
     below the margin for arbitrarily large n."""
-    key = (n, bits)
-    if key not in _LOG2_CACHE:
-        with mpmath.workprec(bits + 16 + n.bit_length().bit_length()):
-            x = mpmath.log(n) / mpmath.log(2)
-        sign, man, exp, _ = x._mpf_
-        mid = Fraction((-1) ** sign * int(man)) * Fraction(2) ** exp
-        margin = Fraction(1, 1 << bits)
-        _LOG2_CACHE[key] = (mid - margin, mid + margin)
-    return _LOG2_CACHE[key]
+    with mpmath.workprec(bits + 16 + n.bit_length().bit_length()):
+        x = mpmath.log(n) / mpmath.log(2)
+    sign, man, exp, _ = x._mpf_
+    s = max(bits, -exp)
+    mid = (-1) ** sign * int(man) << (exp + s)
+    margin = 1 << (s - bits)
+    return mid - margin, mid + margin, s
 
 
 class LogLinear:
@@ -285,16 +294,31 @@ class LogLinear:
     def is_rational(self) -> bool:
         return self.coeff == 0 or self.num == self.den == 1
 
-    def bounds(self, bits: int) -> tuple[Fraction, Fraction]:
-        lo = hi = Fraction(0)
+    def _interval(self, bits: int) -> tuple[int, int, int]:
+        """Integers (lo, hi, D), D > 0, with lo/D <= self <= hi/D, from the
+        log2 intervals at `bits`. D = rd*cd*2**s for rat = rn/rd and
+        coeff = cn/cd, where 2**s is the common denominator of the logs."""
+        lo = hi = s = 0
         if self.num > 1:
-            lo, hi = _log2_bounds(self.num, bits)
+            lo, hi, s = _log2_bounds(self.num, bits)
         if self.den > 1:
-            dlo, dhi = _log2_bounds(self.den, bits)
+            dlo, dhi, ds = _log2_bounds(self.den, bits)
+            if ds > s:
+                lo, hi, s = lo << (ds - s), hi << (ds - s), ds
+            else:
+                dlo, dhi = dlo << (s - ds), dhi << (s - ds)
             lo, hi = lo - dhi, hi - dlo
-        if self.coeff < 0:
+        rn, rd = self.rat.numerator, self.rat.denominator
+        cn, cd = self.coeff.numerator, self.coeff.denominator
+        if cn < 0:
             lo, hi = hi, lo
-        return self.rat + self.coeff * lo, self.rat + self.coeff * hi
+        base = rn * cd << s
+        scale = cn * rd
+        return base + scale * lo, base + scale * hi, rd * cd << s
+
+    def bounds(self, bits: int) -> tuple[Fraction, Fraction]:
+        lo, hi, d = self._interval(bits)
+        return Fraction(lo, d), Fraction(hi, d)
 
     def floor(self) -> int:
         """Exact floor. Rational values short-circuit; irrational values
@@ -304,9 +328,9 @@ class LogLinear:
         if self.is_rational:
             return math.floor(self.rat)
         for bits in PRECISION_SCHEDULE:
-            lo, hi = self.bounds(bits)
-            flo = lo.__floor__()
-            if flo == hi.__floor__():
+            lo, hi, d = self._interval(bits)
+            flo = lo // d
+            if flo == hi // d:
                 return flo
         raise PrecisionExhaustedError("floor of a log-linear value", PRECISION_SCHEDULE)
 
@@ -318,9 +342,9 @@ class LogLinear:
                 raise ValueError("value is not positive")
             return self.rat
         for bits in PRECISION_SCHEDULE:
-            lo, _ = self.bounds(bits)
+            lo, _, d = self._interval(bits)
             if lo > 0:
-                return lo
+                return Fraction(lo, d)
         raise PrecisionExhaustedError("lower bound of a log-linear value", PRECISION_SCHEDULE)
 
 

@@ -486,7 +486,9 @@ def test_log2_bounds_contain_the_logarithm_of_huge_integers():
     for n in (3**1000, 3**200000, 7 * 5**300001):
         true = _log2_to_400_bits(n)
         for bits in (64, 128):
-            lo, hi = _log2_bounds(n, bits)
+            lo, hi, s = _log2_bounds(n, bits)
+            assert hi - lo == 1 << (s - bits + 1), (n, bits)
+            lo, hi = Fraction(lo, 1 << s), Fraction(hi, 1 << s)
             assert lo + Fraction(1, 1 << 300) < true < hi - Fraction(1, 1 << 300), (n, bits)
 
 
@@ -512,3 +514,143 @@ def test_log_linear_of_ratios_and_negative_scalings():
     assert LogLinear.log2_of(3).scaled(-1).floor() == -2
     assert LogLinear.log2_of(Fraction(5, 3)).scaled(-7).floor() == -6  # -5.16...
     assert LogLinear.log2_of(Fraction(1, 3)).scaled(-2).sign_lower_bound() > 3
+
+
+# ---------------------------------------------------------------------------
+# Oracle: LogLinear's bounds, floor and sign decisions as they were before
+# they moved to integer fixed-point intervals, in Fraction arithmetic.
+# Copied verbatim except for the names and the module-level state they read
+# (their own log cache, and the schedule through the module).
+
+_FRACTION_LOG2_CACHE: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
+
+
+def fraction_log2_bounds(n: int, bits: int) -> tuple[Fraction, Fraction]:
+    """Dyadic interval certainly containing log2(n), n >= 1, width
+    2**(1-bits). The rounding error is relative, and log2(n) is below
+    n.bit_length(), so the working precision carries
+    n.bit_length().bit_length() guard bits to keep the absolute error
+    below the margin for arbitrarily large n."""
+    key = (n, bits)
+    if key not in _FRACTION_LOG2_CACHE:
+        with mpmath.workprec(bits + 16 + n.bit_length().bit_length()):
+            x = mpmath.log(n) / mpmath.log(2)
+        sign, man, exp, _ = x._mpf_
+        mid = Fraction((-1) ** sign * int(man)) * Fraction(2) ** exp
+        margin = Fraction(1, 1 << bits)
+        _FRACTION_LOG2_CACHE[key] = (mid - margin, mid + margin)
+    return _FRACTION_LOG2_CACHE[key]
+
+
+class FractionLogLinear(LogLinear):
+    """LogLinear with the Fraction interval arithmetic."""
+
+    __slots__ = ()
+
+    def bounds(self, bits: int) -> tuple[Fraction, Fraction]:
+        lo = hi = Fraction(0)
+        if self.num > 1:
+            lo, hi = fraction_log2_bounds(self.num, bits)
+        if self.den > 1:
+            dlo, dhi = fraction_log2_bounds(self.den, bits)
+            lo, hi = lo - dhi, hi - dlo
+        if self.coeff < 0:
+            lo, hi = hi, lo
+        return self.rat + self.coeff * lo, self.rat + self.coeff * hi
+
+    def floor(self) -> int:
+        """Exact floor. Rational values short-circuit; irrational values
+        are never integers, so interval refinement settles at some
+        precision, and PrecisionExhaustedError is raised when no entry of
+        PRECISION_SCHEDULE does."""
+        if self.is_rational:
+            return math.floor(self.rat)
+        for bits in types.PRECISION_SCHEDULE:
+            lo, hi = self.bounds(bits)
+            flo = lo.__floor__()
+            if flo == hi.__floor__():
+                return flo
+        raise PrecisionExhaustedError("floor of a log-linear value", types.PRECISION_SCHEDULE)
+
+    def sign_lower_bound(self) -> Fraction:
+        """A positive rational lower bound for a value known to be > 0,
+        from the first precision in PRECISION_SCHEDULE that yields one."""
+        if self.is_rational:
+            if self.rat <= 0:
+                raise ValueError("value is not positive")
+            return self.rat
+        for bits in types.PRECISION_SCHEDULE:
+            lo, _ = self.bounds(bits)
+            if lo > 0:
+                return lo
+        raise PrecisionExhaustedError("lower bound of a log-linear value", types.PRECISION_SCHEDULE)
+
+
+def _log_linear_cases():
+    """20,000 seeded values rat + coeff*log2(num/den): num and den the odd
+    parts of integers up to 10**6 (both 1 for some: rational values),
+    integer scales in +-10**6 (often negative, some small), an eighth of
+    the coefficients non-integral, and rational offsets that include the
+    +-1/2 of the rounding step."""
+    rng = random.Random(1019)
+    for i in range(20_000):
+        if i % 50 == 0:
+            base = LogLinear.log2_of(Fraction(1 << rng.randint(0, 20), 1 << rng.randint(0, 20)))
+        else:
+            base = LogLinear.log2_of(Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)))
+        m = rng.choice((-1, 1)) * rng.randint(0, 10 ** rng.randint(0, 6))
+        x = base.scaled(m)
+        coeff = x.coeff if i % 8 else Fraction(x.coeff, rng.randint(1, 999))
+        offset = rng.choice((Fraction(1, 2), Fraction(-1, 2),
+                             Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3))))
+        yield x.rat + offset, coeff, x.num, x.den
+
+
+def _outcome(query):
+    try:
+        result = query()
+    except (PrecisionExhaustedError, ValueError) as exc:
+        return type(exc)
+    return type(result), result
+
+
+def _floor_and_sign(value: LogLinear):
+    """The floor, and the sign lower bound of the value or, when the floor
+    is negative, of its negation (for a rational zero, ValueError)."""
+    floor = _outcome(value.floor)
+    negative = isinstance(floor, tuple) and floor[1] < 0
+    return floor, _outcome((value.scaled(-1) if negative else value).sign_lower_bound)
+
+
+def test_integer_intervals_match_fraction_oracle(monkeypatch):
+    cases = list(_log_linear_cases())
+    for fields in cases:
+        fast, oracle = LogLinear(*fields), FractionLogLinear(*fields)
+        assert fast.bounds(64) == oracle.bounds(64), fields
+        assert _floor_and_sign(fast) == _floor_and_sign(oracle), fields
+    # at 2 bits each log's interval is 1/2 wide, so any value with
+    # |coeff| >= 2 spans an integer and its floor stays undecided
+    monkeypatch.setattr(types, "PRECISION_SCHEDULE", (2,))
+    wide = signs_exhausted = 0
+    for fields in cases[:2000]:
+        fast, oracle = LogLinear(*fields), FractionLogLinear(*fields)
+        outcomes = _floor_and_sign(fast)
+        assert outcomes == _floor_and_sign(oracle), fields
+        if not fast.is_rational and abs(fast.coeff) >= 2:
+            wide += 1
+            assert outcomes[0] is PrecisionExhaustedError, fields
+        signs_exhausted += outcomes[1] is PrecisionExhaustedError
+    assert wide > 1000 and signs_exhausted > 100
+
+
+def test_log2_cache_stays_bounded():
+    # every fresh set brings fresh product ratios, each a new (n, bits) key
+    _log2_bounds.cache_clear()
+    rng = random.Random(1021)
+    for _ in range(2000):
+        P = IntegerSet(rng.sample(range(1, 10**6), 3))
+        assert h_type(product_to_sum(P, 2), 2) == product_type(P, 2)
+    info = _log2_bounds.cache_info()
+    assert info.maxsize == types._LOG2_CACHE_SIZE >= 1024
+    assert info.misses > info.maxsize
+    assert info.currsize == info.maxsize
