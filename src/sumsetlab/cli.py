@@ -34,6 +34,56 @@ def _default_workers() -> int:
     return workers
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+# The C encoder, for every other scalar; unsupported values raise TypeError.
+_encode_scalar = json.JSONEncoder().encode
+
+
+def _indented(value, indent: str) -> str:
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte, with
+    `indent` the newline and spaces that precede value's closing bracket.
+
+    On Python 3.11 json.dumps with an indent always runs the stdlib's
+    generator-based encoder; this builds the same text with one recursive
+    join. Containers and dict keys follow the stdlib's rules: dicts (by
+    isinstance) by sorted items, int/float/bool/None keys converted, any
+    other key a TypeError; lists and tuples in order. ints and bools are
+    written inline, strings by the stdlib's string encoder, and every
+    other scalar by the C encoder."""
+    if type(value) is int:
+        return int.__repr__(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        parts = [int.__repr__(v) if type(v) is int else _indented(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(parts) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        parts = []
+        for key, v in sorted(value.items()):
+            if isinstance(key, str):
+                pass
+            elif isinstance(key, float) or key is True or key is False or key is None:
+                key = _encode_scalar(key)
+            elif isinstance(key, int):
+                key = int.__repr__(key)
+            else:
+                raise TypeError(f"keys must be str, int, float, bool or None, "
+                                f"not {key.__class__.__name__}")
+            parts.append(_encode_str(key) + ": " + _indented(v, inner))
+        return "{" + inner + ("," + inner).join(parts) + indent + "}"
+    return _encode_scalar(value)
+
+
 def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:
     fmt = getattr(args, "format", "json")
     if fmt == "csv":
@@ -49,7 +99,7 @@ def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:
             lines.append(f"{key}: {json.dumps(value, sort_keys=True)}")
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _indented(payload, "\n") + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text)

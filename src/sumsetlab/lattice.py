@@ -9,6 +9,13 @@ h-fold sums: c splits as u - v with u, v nonnegative compositions of
 ||c||_1 / 2, and u . a = v . a. Every nonzero member has even L1 norm at
 least 4.
 
+Everything here is integer arithmetic. The kernel basis comes from a
+multi-term Euclid on the differences a_j - a_1 (a Hermite reduction of
+[[1, ..., 1], a] whose first row is cleared in closed form). Independence,
+while minima are collected, and lattice membership are decided by
+fraction-free elimination, which keeps every row integral and makes the
+same decisions elimination over Q would.
+
 Minima are certified by exhaustive enumeration: coordinates c_1..c_{k-3}
 are scanned under a remaining-norm budget, the last free coordinate
 c_{k-2} is stepped over the solutions of a linear congruence, and the
@@ -33,43 +40,47 @@ k it doubles the cap until the sweep finds the requested minima.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from math import gcd
 
-from .core import IntegerSet
+from .core import IntegerSet, _integral
 
 
-def _kernel_columns(mat: list[list[int]]) -> list[tuple[int, ...]]:
-    """Integer kernel basis of a small integer matrix via unimodular column
-    reduction (Hermite-style). Returns the columns of the transform that
-    map to zero; because the transform is unimodular these form a lattice
-    basis of the kernel, not merely a spanning set."""
-    m, k = len(mat), len(mat[0])
-    cols = [[mat[i][j] for i in range(m)] for j in range(k)]
-    ucols = [[int(i == j) for i in range(k)] for j in range(k)]
-    rank = 0
-    for i in range(m):
-        while True:
-            piv = None
-            for j in range(rank, k):
-                if cols[j][i] and (piv is None or abs(cols[j][i]) < abs(cols[piv][i])):
-                    piv = j
-            if piv is None:
-                break
-            cols[rank], cols[piv] = cols[piv], cols[rank]
-            ucols[rank], ucols[piv] = ucols[piv], ucols[rank]
-            cleared = True
-            for j in range(rank + 1, k):
-                if cols[j][i]:
-                    q = cols[j][i] // cols[rank][i]
-                    cols[j] = [x - q * y for x, y in zip(cols[j], cols[rank])]
-                    ucols[j] = [x - q * y for x, y in zip(ucols[j], ucols[rank])]
-                    if cols[j][i]:
-                        cleared = False
-            if cleared:
-                rank += 1
-                break
-    return [tuple(u) for u in ucols[rank:]]
+def _difference_kernel(a: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Integer kernel basis of [[1, ..., 1], a] by unimodular column
+    reduction (Hermite-style), done on the differences.
+
+    Clearing the all-ones row with column 1 leaves column j as
+    (0, a_j - a_1) with transform e_j - e_1, so what remains is a
+    multi-term Euclid on d_j = a_j - a_1, j = 2..k: swap the smallest
+    nonzero d (first on ties) into the pivot place, replace every other d
+    by its remainder (floor division), and repeat until only the pivot is
+    nonzero. The transforms of the cleared columns are a lattice basis of
+    the kernel, not merely a spanning set, because the transform is
+    unimodular. Each transform sums to 0, so only its coordinates 2..k are
+    kept and coordinate 1 is minus their sum."""
+    a1 = a[0]
+    d = [x - a1 for x in a[1:]]
+    n = len(d)
+    us = [[int(i == j) for i in range(n)] for j in range(n)]
+    while True:
+        piv = best = 0
+        for j, x in enumerate(d):
+            if x and (not best or abs(x) < best):
+                piv, best = j, abs(x)
+        d[0], d[piv] = d[piv], d[0]
+        us[0], us[piv] = us[piv], us[0]
+        p, u0 = d[0], us[0]
+        cleared = True
+        for j in range(1, n):
+            x = d[j]
+            if x:
+                q = x // p
+                d[j] = x - q * p
+                us[j] = [y - q * z for y, z in zip(us[j], u0)]
+                if d[j]:
+                    cleared = False
+        if cleared:
+            return [(-sum(u), *u) for u in us[1:]]
 
 
 @dataclass(frozen=True)
@@ -79,21 +90,27 @@ class LatticeBasis:
     rows: tuple[tuple[int, ...], ...]
     set: IntegerSet
 
-    def contains(self, vector: tuple[int, ...]) -> bool:
-        """Exact membership test. Each row r_i is loaded into one rational
+    def contains(self, vector) -> bool:
+        """Exact membership test. Each row r_i is loaded into one integer
         echelon as (r_i | e_i), with e_i the i-th unit vector, and (v | 0)
-        is reduced against them. What is left is (0 | -x) exactly when
-        v = sum x_i r_i; the rows are independent, so x is unique, and v
-        is in the lattice when x is integral."""
+        is reduced against them to (scale, w). w is (0 | -c) exactly when
+        scale*v = sum c_i r_i; the rows are independent, so c is unique,
+        and v is in the lattice when scale divides every c_i. Coordinates
+        are converted as IntegerSet converts elements, and a vector with a
+        non-integral coordinate is not in Z^k, so it is not a member."""
         k = self.set.k
         if len(vector) != k:
             return False
+        try:
+            v = [x if type(x) is int else _integral(x) for x in vector]
+        except (ValueError, OverflowError):
+            return False
         n = len(self.rows)
-        echelon = _RationalEchelon()
+        echelon = _IntegerEchelon()
         for i, row in enumerate(self.rows):
             echelon.try_add((*row, *(int(i == j) for j in range(n))))
-        rest = echelon.reduce((*vector, *[0] * n))
-        return not any(rest[:k]) and all(x.denominator == 1 for x in rest[k:])
+        scale, w = echelon.reduce((*v, *[0] * n))
+        return not any(w[:k]) and all(c % scale == 0 for c in w[k:])
 
     def to_dict(self) -> dict:
         return {"set": list(self.set.elements), "rows": [list(r) for r in self.rows]}
@@ -103,38 +120,57 @@ def coefficient_lattice_basis(A: IntegerSet) -> LatticeBasis:
     """Lattice basis of {c in Z^k : c . 1 = 0, c . a = 0}; rank k-2."""
     if A.k < 3:
         raise ValueError("coefficient lattice is trivial for k < 3")
-    rows = _kernel_columns([[1] * A.k, list(A.elements)])
+    rows = _difference_kernel(A.elements)
     return LatticeBasis(tuple(rows), A)
 
 
-class _RationalEchelon:
-    """Incrementally reduced rows over Q, the one exact eliminator: it tests
-    independence while minima are collected, and lattice membership."""
+class _IntegerEchelon:
+    """Incrementally reduced integer rows, the one exact eliminator: it
+    tests independence while minima are collected, and lattice membership.
+
+    Elimination is fraction-free (Bareiss, "Sylvester's identity and
+    multistep integer-preserving Gaussian elimination", Math. Comp. 22,
+    1968): a stored row with pivot p = row[piv] clears x = w[piv] from w as
+    w <- p*w - x*row, both sides divided by gcd(p, x) first. Stored rows
+    are primitive with a positive pivot. Each row is a nonzero multiple of
+    the row rational elimination would store, so the two make the same
+    independence decisions on every sequence."""
 
     __slots__ = ("rows",)
 
     def __init__(self):
-        self.rows: list[tuple[int, list[Fraction]]] = []
+        self.rows: list[tuple[int, list[int]]] = []
 
-    def reduce(self, vec) -> list[Fraction]:
-        """vec minus the multiples of the stored rows that clear their
-        pivots. Each row is zero at the pivots of the rows before it, so the
-        result is zero at every pivot, and all zero exactly when vec lies in
-        the rows' span."""
-        w = [Fraction(x) for x in vec]
+    def reduce(self, vec) -> tuple[int, list[int]]:
+        """(scale, w) with w = scale*vec - sum c_i*row_i, scale > 0 and the
+        c_i integral. Each row is zero at the pivots of the rows before it,
+        so w is zero at every pivot, and all zero exactly when vec lies in
+        the rows' span. scale and w are divided by their joint gcd as the
+        rows are applied."""
+        scale, w = 1, vec
         for piv, row in self.rows:
-            if w[piv]:
-                f = w[piv] / row[piv]
-                w = [x - f * y for x, y in zip(w, row)]
-        return w
+            x = w[piv]
+            if x:
+                p = row[piv]
+                g = gcd(p, x)
+                p //= g
+                x //= g
+                w = [p * y - x * z for y, z in zip(w, row)]
+                scale *= p
+                g = gcd(scale, *w)
+                if g != 1:
+                    scale //= g
+                    w = [y // g for y in w]
+        return scale, w
 
     def try_add(self, vec: tuple[int, ...]) -> bool:
-        w = self.reduce(vec)
-        piv = next((i for i, x in enumerate(w) if x), None)
-        if piv is None:
-            return False
-        self.rows.append((piv, w))
-        return True
+        _, w = self.reduce(vec)
+        for piv, x in enumerate(w):
+            if x:
+                g = gcd(*w) if x > 0 else -gcd(*w)
+                self.rows.append((piv, [y // g for y in w]))
+                return True
+        return False
 
 
 def lattice_shells(A: IntegerSet, cap: int) -> dict[int, list[tuple[int, ...]]]:
@@ -262,7 +298,7 @@ def successive_minima(A: IntegerSet, count: int, cap: int) -> MinimaReport:
     shells = lattice_shells(A, cap)
     minima: list[int] = []
     minimizers: list[tuple[int, ...]] = []
-    echelon = _RationalEchelon()
+    echelon = _IntegerEchelon()
     for norm in sorted(shells):
         for vec in sorted(shells[norm]):
             if echelon.try_add(vec):

@@ -2,12 +2,16 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sumsetlab
-from sumsetlab.cli import main
+from sumsetlab.cli import _indented, main
 
 
 def run_cli(capsys, argv):
@@ -24,19 +28,116 @@ def test_profile_json(capsys):
     assert payload["deficits"][:6] == [0, 0, 0, 1, 4, 10]
 
 
-def test_json_round_trip_identity(capsys):
-    commands = [
-        ["lattice", "minima", "--set", "1,5,96,100", "--count", "2", "--cap", "200"],
-        ["sumset", "profile", "--set", "0,2,18,25", "--horizon", "6"],
-        ["types", "type", "--set", "0,1,2", "--h", "2"],
-        ["theory", "extremes", "--h", "4", "--k", "4"],
-    ]
-    for argv in commands:
-        code, out, _ = run_cli(capsys, argv)
-        assert code == 0
+# Every README CLI example that prints JSON, at small sizes.
+README_JSON_EXAMPLES = [
+    ["sumset", "profile", "--set", "0,2,18,25", "--horizon", "12"],
+    ["sumset", "compute", "--set", "0,1,3,4", "--h", "3"],
+    ["lattice", "basis", "--set", "1,5,96,100"],
+    ["lattice", "minima", "--set", "1,5,96,100", "--count", "2", "--cap", "200"],
+    ["theory", "predict", "--h", "6", "--k", "4", "--h1", "4"],
+    ["theory", "verify", "--set", "0,2,18,25"],
+    ["theory", "verify", "--file", "{sets}"],
+    ["theory", "construct-lemma", "--a", "2", "--b", "3", "--k", "5"],
+    ["theory", "construct-cute", "--b", "5"],
+    ["theory", "extremes", "--h", "10", "--k", "4"],
+    ["types", "type", "--set", "0,1,2", "--h", "2"],
+    ["types", "type", "--set", "2,3,4,6", "--h", "2", "--product"],
+    ["types", "separation", "--set", "0,1/2,2", "--h", "2"],
+    ["types", "embed", "--set", "0,1/3,5/7,1", "--h", "3"],
+    ["types", "to-product", "--set", "0,1,2"],
+    ["types", "to-sum", "--set", "2,3,4,6", "--h", "2"],
+    ["experiment", "random", "--n", "100", "--k", "4", "--h", "5", "--samples", "300",
+     "--seed", "7", "--workers", "1"],
+    ["experiment", "scan", "--n", "12", "--k", "4", "--h", "3"],
+    ["experiment", "minima-stats", "--n", "10000", "--k", "4", "--samples", "20",
+     "--seed", "7", "--cap", "1024"],
+    ["experiment", "type-census", "--n", "8", "--k", "4", "--h", "2"],
+]
+
+
+def test_json_round_trip_identity(tmp_path, capsys):
+    sets = tmp_path / "sets.txt"
+    sets.write_text("0,2,18,25\n1,5,96,100\n0,1,3,4,9\n")
+    for argv in README_JSON_EXAMPLES:
+        code, out, _ = run_cli(capsys, [a.format(sets=sets) for a in argv])
+        assert code == 0, argv
         payload = json.loads(out)
         # parse-then-serialize is the identity on the canonical encoding
-        assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == out
+        assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == out, argv
+
+
+def test_lattice_basis_bytes(capsys):
+    code, out, _ = run_cli(capsys, ["lattice", "basis", "--set", "1,5,96,100"])
+    assert code == 0
+    assert out == (
+        '{\n  "rows": [\n    [\n      91,\n      -95,\n      4,\n      0\n    ],\n'
+        '    [\n      1,\n      -1,\n      -1,\n      1\n    ]\n  ],\n'
+        '  "set": [\n    1,\n    5,\n    96,\n    100\n  ]\n}\n'
+    )
+
+
+def _encoded(encode, value):
+    """encode(value), or the type of the exception it raised."""
+    try:
+        return encode(value)
+    except Exception as exc:  # compared by type below
+        return type(exc)
+
+
+def _stdlib(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+def _direct(value):
+    return _indented(value, "\n")
+
+
+# non-ASCII text, and every character JSON escapes
+_strings = st.text() | st.sampled_from(
+    ["\u00e9\u4e2d\U0001f600", "\"\\/\b\f\n\r\t\x00\x1f\x7f", ""])
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64 - 2, max_value=2**200) | st.integers(max_value=-(2**64)),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, float("nan"), float("inf"), -float("inf")]),
+    _strings,
+)
+# one key family per dict, so that every dict sorts
+_sortable_keys = [
+    _strings,
+    st.integers() | st.booleans() | st.floats(allow_nan=True),
+    st.none(),
+]
+# keys of mixed families, and unsupported keys and values, which must fail
+# as the stdlib fails
+_failing_keys = [st.one_of(st.text(), st.integers(), st.none()), st.tuples(st.integers())]
+_unsupported = st.sampled_from([Fraction(1, 3), {1, 2}, 1j, object(), b"bytes"])
+
+
+def _containers(key_families):
+    def extend(children):
+        return st.one_of(
+            st.lists(children, max_size=5),
+            st.lists(children, max_size=5).map(tuple),
+            *[st.dictionaries(keys, children, max_size=5) for keys in key_families],
+            st.dictionaries(st.text(), st.integers(), max_size=5).map(Counter),
+        )
+    return extend
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.recursive(_json_scalars, _containers(_sortable_keys), max_leaves=15))
+def test_direct_emitter_matches_json_dumps(value):
+    assert _direct(value) == _stdlib(value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.recursive(_json_scalars | _unsupported,
+                    _containers(_sortable_keys + _failing_keys), max_leaves=10))
+def test_direct_emitter_fails_as_json_dumps_fails(value):
+    assert _encoded(_direct, value) == _encoded(_stdlib, value)
 
 
 def test_workers_env_default(monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -16,6 +17,88 @@ from sumsetlab.lattice import (
     successive_minima,
 )
 from sumsetlab.theory import construct_lemma_set
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the generic Hermite kernel and the Fraction eliminator the
+# library used before it computed both in integers. Copied verbatim except
+# for the names.
+
+
+def kernel_columns_oracle(mat: list[list[int]]) -> list[tuple[int, ...]]:
+    """Integer kernel basis of a small integer matrix via unimodular column
+    reduction (Hermite-style). Returns the columns of the transform that
+    map to zero; because the transform is unimodular these form a lattice
+    basis of the kernel, not merely a spanning set."""
+    m, k = len(mat), len(mat[0])
+    cols = [[mat[i][j] for i in range(m)] for j in range(k)]
+    ucols = [[int(i == j) for i in range(k)] for j in range(k)]
+    rank = 0
+    for i in range(m):
+        while True:
+            piv = None
+            for j in range(rank, k):
+                if cols[j][i] and (piv is None or abs(cols[j][i]) < abs(cols[piv][i])):
+                    piv = j
+            if piv is None:
+                break
+            cols[rank], cols[piv] = cols[piv], cols[rank]
+            ucols[rank], ucols[piv] = ucols[piv], ucols[rank]
+            cleared = True
+            for j in range(rank + 1, k):
+                if cols[j][i]:
+                    q = cols[j][i] // cols[rank][i]
+                    cols[j] = [x - q * y for x, y in zip(cols[j], cols[rank])]
+                    ucols[j] = [x - q * y for x, y in zip(ucols[j], ucols[rank])]
+                    if cols[j][i]:
+                        cleared = False
+            if cleared:
+                rank += 1
+                break
+    return [tuple(u) for u in ucols[rank:]]
+
+
+class RationalEchelonOracle:
+    """Incrementally reduced rows over Q, the one exact eliminator: it tests
+    independence while minima are collected, and lattice membership."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows: list[tuple[int, list[Fraction]]] = []
+
+    def reduce(self, vec) -> list[Fraction]:
+        """vec minus the multiples of the stored rows that clear their
+        pivots. Each row is zero at the pivots of the rows before it, so the
+        result is zero at every pivot, and all zero exactly when vec lies in
+        the rows' span."""
+        w = [Fraction(x) for x in vec]
+        for piv, row in self.rows:
+            if w[piv]:
+                f = w[piv] / row[piv]
+                w = [x - f * y for x, y in zip(w, row)]
+        return w
+
+    def try_add(self, vec: tuple[int, ...]) -> bool:
+        w = self.reduce(vec)
+        piv = next((i for i, x in enumerate(w) if x), None)
+        if piv is None:
+            return False
+        self.rows.append((piv, w))
+        return True
+
+
+def fraction_contains(basis: LatticeBasis, vector: tuple[int, ...]) -> bool:
+    """LatticeBasis.contains as it was on the Fraction eliminator."""
+    k = basis.set.k
+    if len(vector) != k:
+        return False
+    n = len(basis.rows)
+    echelon = RationalEchelonOracle()
+    for i, row in enumerate(basis.rows):
+        echelon.try_add((*row, *(int(i == j) for j in range(n))))
+    rest = echelon.reduce((*vector, *[0] * n))
+    return not any(rest[:k]) and all(x.denominator == 1 for x in rest[k:])
 
 
 def _l1_heads(n, radius):
@@ -457,3 +540,83 @@ def test_find_minima_rejects_bad_arguments_before_reducing(monkeypatch, elems, c
     # the message successive_minima gives for the same count and cap
     with pytest.raises(ValueError, match=message):
         successive_minima(IntegerSet(elems), count, max_cap)
+
+
+def _random_set(rng, k, span):
+    return IntegerSet(rng.sample(range(-span, span + 1), k))
+
+
+def test_difference_kernel_matches_hermite_oracle():
+    # identical rows, not merely the same lattice: `lattice basis` prints them
+    rng = random.Random(60_221)
+    for i in range(5000):
+        k = 3 + i % 6
+        A = _random_set(rng, k, rng.choice([10, 10**4, 10**9, 10**12]))
+        rows = kernel_columns_oracle([[1] * k, list(A.elements)])
+        assert coefficient_lattice_basis(A).rows == tuple(rows), A
+
+
+def _planted_sequence(rng, dim):
+    """Integer vectors of length dim, some with zero entries. About 40% are
+    dependent on earlier ones: an integer combination, sometimes divided by
+    its content and rescaled, so a rational combination."""
+    vecs = []
+    for _ in range(rng.randint(1, 2 * dim)):
+        if vecs and rng.random() < 0.4:
+            v = [0] * dim
+            for u in rng.sample(vecs, min(len(vecs), rng.randint(1, 3))):
+                c = rng.randint(-6, 6)
+                v = [x + c * y for x, y in zip(v, u)]
+            if rng.random() < 0.3:
+                g = gcd(*v) or 1
+                v = [x // g * rng.choice([1, -2, 3]) for x in v]
+        else:
+            span = rng.choice([3, 50, 10**9])
+            v = [rng.randint(-span, span) if rng.random() < 0.7 else 0 for _ in range(dim)]
+        vecs.append(tuple(v))
+    return vecs
+
+
+def test_integer_echelon_matches_fraction_oracle():
+    rng = random.Random(1968)
+    for _ in range(600):
+        dim = rng.randint(3, 10)
+        new, old = lattice._IntegerEchelon(), RationalEchelonOracle()
+        for vec in _planted_sequence(rng, dim):
+            scale, w = new.reduce(vec)
+            assert scale > 0 and not any(w[p] for p, _ in new.rows)
+            assert new.try_add(vec) == old.try_add(vec), vec
+            # same pivots; stored rows primitive with a positive pivot
+            assert [p for p, _ in new.rows] == [p for p, _ in old.rows]
+            assert all(gcd(*row) == 1 and row[p] > 0 for p, row in new.rows)
+
+
+def test_contains_matches_fraction_oracle():
+    # integral and half-integral combinations of the basis rows, plus a
+    # small perturbation, against the Fraction membership test
+    rng = random.Random(4242)
+    for i in range(90):
+        k = 3 + i % 6
+        basis = coefficient_lattice_basis(_random_set(rng, k, rng.choice([20, 10**6])))
+        for _ in range(5):
+            coeffs = [Fraction(rng.randint(-7, 7), rng.choice([1, 1, 2])) for _ in basis.rows]
+            vec = [sum(c * r[j] for c, r in zip(coeffs, basis.rows)) for j in range(k)]
+            off = [x + (j == 0) - (j == 1) for j, x in enumerate(vec)]
+            for cand in (vec, off, [int(x) for x in vec]):
+                cand = tuple(cand)
+                assert basis.contains(cand) == fraction_contains(basis, cand), (basis, cand)
+            # the rows are independent, so vec is a member exactly when its
+            # coefficients are integral
+            assert basis.contains(tuple(vec)) == all(c.denominator == 1 for c in coeffs)
+
+
+def test_contains_converts_integral_coordinates_and_rejects_the_rest():
+    basis = coefficient_lattice_basis(IntegerSet([1, 5, 96, 100]))
+    # integral values convert as IntegerSet converts elements
+    assert basis.contains((1.0, -1, -1, 1))
+    assert basis.contains((Fraction(2, 2), -1, -1, True))
+    # a non-integral coordinate is not in Z^k, so not in the lattice
+    assert not basis.contains((0.5, -1, -1, 1))
+    assert not basis.contains((Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(1, 2)))
+    assert not basis.contains((float("inf"), -1, -1, 1))
+    assert not basis.contains((float("nan"), -1, -1, 1))

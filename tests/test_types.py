@@ -282,8 +282,10 @@ def test_equal_types_equal_sizes():
 # ---------------------------------------------------------------------------
 # Oracle: the transport as it was before LogLinear kept one logarithm. It
 # factors every element and product into odd primes and keeps one
-# coefficient per prime. Copied verbatim except for the names and the
-# module-level state it reads (its own log cache and trial budget).
+# coefficient per prime. Copied verbatim except for the names, the
+# module-level state it reads (its own log cache and trial budget), and
+# the scan's floors, which come from bounds cached across cases (see
+# oracle_floor_scaled_log2).
 
 ORACLE_FACTOR_TRIAL_BUDGET = 1_000_000
 
@@ -400,6 +402,29 @@ class PrimeLogLinear:
         raise PrecisionExhaustedError("lower bound of a log-linear value", types.PRECISION_SCHEDULE)
 
 
+# The box-collision scan floors m * log2(p) for every element p and
+# m = 0, 2h*q0, 4h*q0, ... Scaling by m >= 0 scales both bounds of a value
+# by exactly m, so the bounds of log2(p) are taken from
+# PrimeLogLinear.bounds once per element and precision, cached across
+# cases as integer fractions, and floor(m * lo) is (m * num) // den.
+_ORACLE_BOUNDS_CACHE: dict[tuple[int, int], tuple[int, int, int, int]] = {}
+
+
+def oracle_floor_scaled_log2(p: int, m: int) -> int:
+    """PrimeLogLinear.log2_of(p).scaled(m).floor() for m >= 0."""
+    for bits in types.PRECISION_SCHEDULE:
+        bounds = _ORACLE_BOUNDS_CACHE.get((p, bits))
+        if bounds is None:
+            lo, hi = PrimeLogLinear.log2_of(p).bounds(bits)
+            bounds = _ORACLE_BOUNDS_CACHE[p, bits] = (
+                lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+        lo_num, lo_den, hi_num, hi_den = bounds
+        flo = m * lo_num // lo_den
+        if flo == m * hi_num // hi_den:
+            return flo
+    raise PrecisionExhaustedError("floor of a log-linear value", types.PRECISION_SCHEDULE)
+
+
 def oracle_product_to_sum(P: IntegerSet, h: int) -> IntegerSet:
     """A set of nonnegative integers whose additive h-type equals the
     multiplicative h-type of P (elements positive, k >= 2).
@@ -431,7 +456,7 @@ def oracle_product_to_sum(P: IntegerSet, h: int) -> IntegerSet:
         gap = PrimeLogLinear.log2_of(m2).minus(PrimeLogLinear.log2_of(m1)).sign_lower_bound()
         sep_lb = gap if sep_lb is None else min(sep_lb, gap)
     q0 = math.ceil(Fraction(2) / sep_lb)
-    Q = _collision_dilation(logs, lambda l, m: l.scaled(m).floor(), q0, h)
+    Q = _collision_dilation(P.elements, oracle_floor_scaled_log2, q0, h)
 
     half = Fraction(1, 2)
     members = [l.scaled(Q).plus_rational(half).floor() for l in logs]
@@ -461,6 +486,13 @@ def _transport_cases():
 def test_product_to_sum_matches_prime_factor_oracle():
     for P, h in _transport_cases():
         assert product_to_sum(P, h).elements == oracle_product_to_sum(P, h).elements, (P, h)
+
+
+def test_oracle_floor_scaled_is_the_floor_of_the_scaled_value():
+    rng = random.Random(31)
+    for p in [1, 2, 3, 1024, 6 * 2**20] + [rng.randint(1, 5000) for _ in range(400)]:
+        for m in (0, 1, rng.randint(2, 100), rng.randint(10**6, 10**12)):
+            assert oracle_floor_scaled_log2(p, m) == PrimeLogLinear.log2_of(p).scaled(m).floor()
 
 
 def test_log_linear_floor_matches_bit_length():
