@@ -241,6 +241,8 @@ def exhaustive_scan(n: int, k: int, h: int, workers: int = 1) -> Histogram:
     share their (k-1)-prefix and `fold_size` folds each prefix once. The
     result is identical for every worker count.
     """
+    if k < 1:
+        raise ValueError("k must be positive")
     total = _subset_count(n, k)
     jobs = [(n, k, h, first) for first in range(1, n - k + 2)]
     return Histogram(dict(_run_sharded(jobs, _scan_shard, workers)), total)

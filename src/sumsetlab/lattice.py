@@ -29,12 +29,13 @@ completed sweep up to norm `cap` proves there is no undiscovered vector
 of norm <= cap, which is what makes the reported minima exact rather
 than best-found.
 
-What remains is choosing the cap. At k = 4 the lattice has rank 2, and
-Gauss reduction generalised to an arbitrary norm (Kaib & Schnorr, "The
-generalized Gauss reduction algorithm", J. Algorithms 21, 1996) turns
-the kernel basis into one whose two norms are exactly lambda_1 and
-lambda_2, so `find_minima` sweeps once, at the cap it needs. For other
-k it doubles the cap until the sweep finds the requested minima.
+What remains is choosing the cap. `find_minima` reduces the kernel basis
+in the L1 norm, greedily, by the step of Gauss reduction generalised to
+an arbitrary norm (Kaib & Schnorr, "The generalized Gauss reduction
+algorithm", J. Algorithms 21, 1996). Any `count` independent lattice
+vectors bound lambda_count by their largest norm, so one sweep at that
+bound certifies the minima, for every k. At k = 3 the bound is the one
+basis vector's norm, and at k = 4 it is exactly lambda_count.
 """
 
 from __future__ import annotations
@@ -263,6 +264,11 @@ class MinimaReport:
     least among equal-norm candidates), so recomputation is reproducible
     even though minimizers are mathematically non-unique. truncated is set
     when fewer than the requested number of minima exist within `cap`.
+
+    successive_minima reports the cap it swept. find_minima reports the
+    first of the caps 16, 32, 64, ..., clipped to its max_cap, that is at
+    least the last minimum, or max_cap when truncated: the cap at which
+    doubling from 16 would have stopped.
     """
 
     minima: tuple[int, ...]
@@ -313,69 +319,56 @@ def _l1(v) -> int:
     return sum(map(abs, v))
 
 
-def _gauss_minima(rows) -> tuple[int, int]:
-    """(lambda_1, lambda_2) of the rank-2 lattice with basis `rows`, by Gauss
-    reduction in the L1 norm (Kaib & Schnorr, "The generalized Gauss
-    reduction algorithm", J. Algorithms 21, 1996).
+def _l1_reduce(rows) -> list[list[int]]:
+    """The rows of a lattice basis, reduced in the L1 norm and sorted by it.
 
-    With ||b1|| <= ||b2||, each step replaces b2 by the shortest b2 - mu*b1,
-    mu integral. ||b2 - t*b1|| is convex and piecewise linear in t with
-    breakpoints b2_i / b1_i, so a real minimizer is a breakpoint and an
-    integral one is its floor or that plus 1. The loop swaps while the new
-    b2 is shorter than b1; each swap shortens b1, so it ends, and then
-    ||b1|| <= ||b2|| <= ||b2 - mu*b1|| for every integer mu, the reduced
-    condition under which ||b1||, ||b2|| are the two minima for any norm.
+    The rows are kept sorted by norm, and each is replaced in turn by its
+    shortest b - mu*r over every shorter row r, mu integral. ||b - t*r|| is
+    convex and piecewise linear in t with breakpoints b_i / r_i, so a real
+    minimizer is a breakpoint and an integral one is its floor or that
+    plus 1. When a row comes out shorter than the row before it, the rows
+    are re-sorted and the pass starts again from the second row; each
+    restart follows a step that shortened a row, so the loop ends. The rows
+    stay a basis of the same lattice, so the i-th norm is at least
+    lambda_i. At rank 2 this is Kaib & Schnorr's Gauss reduction in the L1
+    norm, and the two norms are exactly lambda_1 and lambda_2; at rank 1 it
+    returns the one row.
     """
-    b1, b2 = sorted(rows, key=_l1)
-    n1 = _l1(b1)
-    while True:
-        mus = {y // x + e for x, y in zip(b1, b2) if x for e in (0, 1)}
-        b2 = min(([y - mu * x for x, y in zip(b1, b2)] for mu in mus), key=_l1)
-        n2 = _l1(b2)
-        if n2 >= n1:
-            return n1, n2
-        b1, b2, n1 = b2, b1, n2
-
-
-# The first ball find_minima sweeps; each retry doubles it.
-_START_CAP = 16
-
-
-def _cap_schedule(max_cap: int):
-    """16, 32, 64, ... clipped to max_cap, ending at max_cap."""
-    cap = min(_START_CAP, max_cap)
-    yield cap
-    while cap < max_cap:
-        cap = min(cap * 2, max_cap)
-        yield cap
+    rows = sorted(map(list, rows), key=_l1)
+    i = 1
+    while i < len(rows):
+        b = rows[i]
+        for r in rows[:i]:
+            mus = {y // x + e for x, y in zip(r, b) if x for e in (0, 1)}
+            b = min(([y - mu * x for x, y in zip(r, b)] for mu in mus), key=_l1)
+        rows[i] = b
+        if _l1(b) < _l1(rows[i - 1]):
+            rows.sort(key=_l1)
+            i = 1
+        else:
+            i += 1
+    return rows
 
 
 def find_minima(A: IntegerSet, count: int, max_cap: int = 4096) -> MinimaReport:
-    """successive_minima at the smallest sufficient cap.
+    """successive_minima in one sweep, at a cap the reduced basis certifies.
 
-    At k = 4 the lattice has rank 2, and L1 Gauss reduction of its kernel
-    basis gives lambda_count exactly (see _gauss_minima). One sweep at
-    min(lambda_count, max_cap) then enumerates every vector up to that
-    norm, so its minima and canonical minimizers are certified by the
-    sweep itself, and it comes back truncated exactly when lambda_count >
-    max_cap. At k = 3 and k >= 5 the caps 16, 32, 64, ... are swept in
-    turn until the requested minima appear or max_cap is reached: sweeping
-    a ball costs about cap^(k-3) * (cap/m + 1) steps, with m the step of
-    the last free coordinate's congruence (see lattice_shells), so doubling
-    keeps the cost near the cheapest sufficient cap.
-
-    Either way the report's `cap` is the first cap of that schedule at or
-    above lambda_count (max_cap when truncated), and the rest of the
-    report is what a sweep at that cap returns. count and max_cap are
-    checked up front, as successive_minima checks count and cap.
+    The first `count` rows of the L1-reduced kernel basis (see _l1_reduce)
+    are independent, so U, the largest of their norms, is at least
+    lambda_count. One sweep at min(U, max_cap) enumerates every vector up
+    to that norm, so its minima and canonical minimizers are certified by
+    the sweep itself, and it comes back truncated exactly when
+    lambda_count > max_cap. count and max_cap are checked up front, as
+    successive_minima checks count and cap.
     """
     _check_minima_args(A.k, count, max_cap)
-    if A.k == 4:
-        need = min(_gauss_minima(coefficient_lattice_basis(A).rows)[count - 1], max_cap)
-        report = successive_minima(A, count, need)
-        return replace(report, cap=next(c for c in _cap_schedule(max_cap) if c >= need))
-    for cap in _cap_schedule(max_cap):
-        report = successive_minima(A, count, cap)
-        if not report.truncated:
-            break
-    return report
+    rows = _l1_reduce(coefficient_lattice_basis(A).rows)
+    report = successive_minima(A, count, min(_l1(rows[count - 1]), max_cap))
+    need = max_cap if report.truncated else report.minima[-1]
+    return replace(report, cap=_report_cap(need, max_cap))
+
+
+def _report_cap(need: int, max_cap: int) -> int:
+    """The first of the caps 16, 32, 64, ..., clipped to max_cap, that is
+    at least need <= max_cap."""
+    return min(max_cap, max(16, 1 << (need - 1).bit_length()))

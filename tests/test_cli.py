@@ -289,6 +289,14 @@ def test_type_census_nonpositive_k_is_computation_error(capsys):
     assert "k must be positive" in err
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_scan_nonpositive_k_is_computation_error(capsys, k):
+    code, out, err = run_cli(capsys, ["experiment", "scan", "--n", "8", "--k", k, "--h", "2"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: k must be positive\n"
+
+
 def test_text_format(capsys):
     code, out, _ = run_cli(capsys, ["theory", "predict", "--h", "3", "--k", "4", "--h1", "4",
                                     "--format", "text"])

@@ -218,6 +218,10 @@ def doubling_find_minima(A: IntegerSet, count: int, max_cap: int) -> lattice.Min
         cap = min(cap * 2, max_cap)
 
 
+def reduced_norms(rows) -> tuple[int, ...]:
+    return tuple(sum(map(abs, row)) for row in lattice._l1_reduce(rows))
+
+
 def sorted_shells(shells):
     return {norm: sorted(vecs) for norm, vecs in shells.items()}
 
@@ -448,16 +452,24 @@ def test_shells_property_against_naive_ball(case):
     assert sorted_shells(lattice_shells(A, cap)) == canonical_naive_shells(A, cap)
 
 
+# Caps the doubling oracle may reach, by k: a sweep of the L1 ball costs
+# about cap^(k-3) steps, so k = 6 stops at 32 and k = 7 at 16.
+_MAX_CAPS = {3: [4, 8, 16, 64, 256], 4: [4, 8, 16, 64, 256], 5: [4, 8, 16, 64, 128],
+             6: [4, 8, 16, 32], 7: [4, 8, 16]}
+
+
 @st.composite
-def k4_minima_cases(draw):
+def minima_cases(draw):
+    k = draw(st.integers(3, 7))
     span = draw(st.sampled_from([8, 60, 10_000, 10**6]))
-    elems = draw(st.lists(st.integers(-span, span), min_size=4, max_size=4, unique=True))
-    return IntegerSet(elems), draw(st.integers(1, 2)), draw(st.sampled_from([4, 8, 16, 64]))
+    elems = draw(st.lists(st.integers(-span, span), min_size=k, max_size=k, unique=True))
+    count = draw(st.integers(1, k - 2))
+    return IntegerSet(elems), count, draw(st.sampled_from(_MAX_CAPS[k]))
 
 
 @settings(max_examples=300, deadline=None)
-@given(k4_minima_cases())
-def test_k4_find_minima_matches_doubling_oracle(case):
+@given(minima_cases())
+def test_find_minima_matches_doubling_oracle(case):
     # the whole report, cap and truncated included
     A, count, max_cap = case
     assert find_minima(A, count, max_cap) == doubling_find_minima(A, count, max_cap)
@@ -466,12 +478,13 @@ def test_k4_find_minima_matches_doubling_oracle(case):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(-60, 60), min_size=4, max_size=4, unique=True))
 def test_gauss_minima_are_the_swept_minima(elems):
-    # an overestimate would still sweep the right minima, so check the
-    # reduction's own values against a certified sweep
+    # at rank 2 the reduction is Gauss reduction, whose norms are exactly
+    # the two minima; an overestimate would still sweep the right minima,
+    # so check the reduction's own values against a certified sweep
     A = IntegerSet(elems)
     rep = doubling_find_minima(A, 2, 4096)
     assert not rep.truncated
-    assert lattice._gauss_minima(coefficient_lattice_basis(A).rows) == rep.minima
+    assert reduced_norms(coefficient_lattice_basis(A).rows) == rep.minima
 
 
 @pytest.mark.parametrize(
@@ -489,6 +502,53 @@ def test_gauss_minima_are_the_swept_minima(elems):
 def test_k4_find_minima_matches_doubling_oracle_on_named_sets(A, max_cap):
     for count in (1, 2):
         assert find_minima(A, count, max_cap) == doubling_find_minima(A, count, max_cap)
+
+
+NAMED_SETS_OF_EVERY_K = [
+    IntegerSet([0, 1, 3]),  # rank 1: (2, -3, 1)
+    IntegerSet([-50, 7, 100]),  # rank 1, norm 250 above most caps
+    construct_lemma_set(2, 3, 5),
+    construct_lemma_set(4, 4, 6),  # equal minima
+    IntegerSet([4, 9, 31, 44, 60]),
+    IntegerSet([0, 1, 2, 3, 4, 5]),
+    IntegerSet([-10**6, -7, 3, 12, 999_983, 10**6 + 1]),
+    IntegerSet([1, 2, 4, 8, 16, 32, 64]),
+]
+
+
+@pytest.mark.parametrize("A", NAMED_SETS_OF_EVERY_K)
+@pytest.mark.parametrize("max_cap", [4, 8, 16, 30, 64])
+def test_find_minima_matches_doubling_oracle_on_named_sets_of_every_k(A, max_cap):
+    for count in range(1, A.k - 1):
+        assert find_minima(A, count, max_cap) == doubling_find_minima(A, count, max_cap)
+
+
+# k = 4 is test_k4_find_minima_sweeps_once, with the sweep at lambda_2 itself
+@pytest.mark.parametrize(
+    "elems, count, max_cap",
+    [
+        ((0, 1, 3), 1, 1024),
+        ((-50, 7, 100), 1, 64),  # the one vector has norm 250 > max_cap
+        ((4, 9, 31, 44, 60), 3, 512),
+        ((4, 9, 31, 44, 60), 2, 16),
+        ((0, 1, 2, 3, 4, 5), 2, 64),
+        ((0, 1, 2, 3, 4, 5), 4, 8),
+    ],
+)
+def test_find_minima_sweeps_once(monkeypatch, elems, count, max_cap):
+    caps = []
+    sweep = lattice.successive_minima
+
+    def counted(A, count, cap):
+        caps.append(cap)
+        return sweep(A, count, cap)
+
+    monkeypatch.setattr(lattice, "successive_minima", counted)
+    A = IntegerSet(elems)
+    rep = find_minima(A, count, max_cap)
+    bound = lattice._l1_reduce(coefficient_lattice_basis(A).rows)[count - 1]
+    assert caps == [min(sum(map(abs, bound)), max_cap)]
+    assert rep == doubling_find_minima(A, count, max_cap)
 
 
 def test_k4_find_minima_sweeps_once(monkeypatch):
@@ -511,8 +571,56 @@ def test_k4_find_minima_sweeps_once(monkeypatch):
 def test_gauss_minima_equal_minima_and_either_row_order():
     for a, b in [(2, 2), (3, 3), (2, 9), (6, 11)]:
         rows = coefficient_lattice_basis(construct_lemma_set(a, b)).rows
-        assert lattice._gauss_minima(rows) == (2 * a, 2 * b)
-        assert lattice._gauss_minima(rows[::-1]) == (2 * a, 2 * b)
+        assert reduced_norms(rows) == (2 * a, 2 * b)
+        assert reduced_norms(rows[::-1]) == (2 * a, 2 * b)
+
+
+def test_reduction_keeps_the_lattice_and_bounds_every_minimum():
+    # the reduced rows and the kernel basis each lie in the other's lattice,
+    # and the i-th reduced norm is at least the swept i-th minimum; the
+    # sweep stops at a cap, above which a reduced norm bounds nothing seen
+    rng = random.Random(1996)
+    caps = {5: 64, 6: 32, 7: 20}
+    for i in range(60):
+        k = 5 + i % 3
+        A = _random_set(rng, k, rng.choice([12, 40, 200]))
+        basis = coefficient_lattice_basis(A)
+        reduced = LatticeBasis(tuple(map(tuple, lattice._l1_reduce(basis.rows))), A)
+        assert all(reduced.contains(row) for row in basis.rows)
+        assert all(basis.contains(row) for row in reduced.rows)
+        norms = reduced_norms(basis.rows)
+        assert list(norms) == sorted(norms)
+        minima = successive_minima(A, k - 2, caps[k]).minima
+        for j, norm in enumerate(norms):
+            assert norm > caps[k] or norm >= minima[j], (A, norms, minima)
+
+
+# The doubling schedule find_minima's report cap is named after, verbatim.
+_START_CAP = 16
+
+
+def _cap_schedule(max_cap: int):
+    """16, 32, 64, ... clipped to max_cap, ending at max_cap."""
+    cap = min(_START_CAP, max_cap)
+    yield cap
+    while cap < max_cap:
+        cap = min(cap * 2, max_cap)
+        yield cap
+
+
+def test_report_cap_is_the_first_schedule_cap_at_or_above_need():
+    def check(need, max_cap):
+        expected = next(c for c in _cap_schedule(max_cap) if c >= need)
+        assert lattice._report_cap(need, max_cap) == expected, (need, max_cap)
+
+    for max_cap in range(4, 1025, 2):
+        for need in range(4, max_cap + 1, 2):
+            check(need, max_cap)
+    for e in range(2, 21):
+        for max_cap in (2**e - 2, 2**e, 2**e + 2):
+            for need in {4, 2**e - 2, 2**e, 2**e + 2, max_cap}:
+                if 4 <= need <= max_cap:
+                    check(need, max_cap)
 
 
 @pytest.mark.parametrize(
@@ -534,7 +642,7 @@ def test_find_minima_rejects_bad_arguments_before_reducing(monkeypatch, elems, c
     def no_reduction(rows):
         raise AssertionError("reduction ran before the arguments were checked")
 
-    monkeypatch.setattr(lattice, "_gauss_minima", no_reduction)
+    monkeypatch.setattr(lattice, "_l1_reduce", no_reduction)
     with pytest.raises(ValueError, match=message):
         find_minima(IntegerSet(elems), count, max_cap)
     # the message successive_minima gives for the same count and cap
