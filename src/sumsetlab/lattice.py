@@ -40,7 +40,7 @@ basis vector's norm, and at k = 4 it is exactly lambda_count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import gcd
 
 from .core import IntegerSet, _integral
@@ -262,13 +262,9 @@ class MinimaReport:
     lattice vectors exist; minimizers[i] achieves it. Minimizers are
     canonicalized (first nonzero coordinate positive, lexicographically
     least among equal-norm candidates), so recomputation is reproducible
-    even though minimizers are mathematically non-unique. truncated is set
-    when fewer than the requested number of minima exist within `cap`.
-
-    successive_minima reports the cap it swept. find_minima reports the
-    first of the caps 16, 32, 64, ..., clipped to its max_cap, that is at
-    least the last minimum, or max_cap when truncated: the cap at which
-    doubling from 16 would have stopped.
+    even though minimizers are mathematically non-unique. cap is the norm
+    up to which every lattice vector was enumerated, and truncated is set
+    when fewer than the requested number of minima exist within it.
     """
 
     minima: tuple[int, ...]
@@ -358,17 +354,11 @@ def find_minima(A: IntegerSet, count: int, max_cap: int = 4096) -> MinimaReport:
     lambda_count. One sweep at min(U, max_cap) enumerates every vector up
     to that norm, so its minima and canonical minimizers are certified by
     the sweep itself, and it comes back truncated exactly when
-    lambda_count > max_cap. count and max_cap are checked up front, as
+    lambda_count > max_cap. The sweep's report is returned as it is: its
+    cap is the radius swept, which is max_cap when the report is
+    truncated. count and max_cap are checked up front, as
     successive_minima checks count and cap.
     """
     _check_minima_args(A.k, count, max_cap)
     rows = _l1_reduce(coefficient_lattice_basis(A).rows)
-    report = successive_minima(A, count, min(_l1(rows[count - 1]), max_cap))
-    need = max_cap if report.truncated else report.minima[-1]
-    return replace(report, cap=_report_cap(need, max_cap))
-
-
-def _report_cap(need: int, max_cap: int) -> int:
-    """The first of the caps 16, 32, 64, ..., clipped to max_cap, that is
-    at least need <= max_cap."""
-    return min(max_cap, max(16, 1 << (need - 1).bit_length()))
+    return successive_minima(A, count, min(_l1(rows[count - 1]), max_cap))

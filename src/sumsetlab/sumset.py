@@ -140,12 +140,8 @@ def h_fold_sumset(A: IntegerSet, h: int) -> IntegerSet:
     shift = h * A.elements[0]
     if isinstance(final, set):
         return IntegerSet(s + shift for s in final)
-    out = []
-    while final:
-        low = final & -final
-        out.append(low.bit_length() - 1 + shift)
-        final ^= low
-    return IntegerSet(out)
+    # one pass over the mask's binary digits, lowest bit first
+    return IntegerSet(i + shift for i, bit in enumerate(bin(final)[:1:-1]) if bit == "1")
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import mpmath
 
@@ -98,15 +99,23 @@ def _partition_by(keys) -> tuple[int, ...]:
     return tuple([ids.setdefault(key, len(ids)) for key in keys])
 
 
+def _sums(vals, h: int) -> list:
+    """c . vals for every composition c of h into len(vals) parts, in
+    composition order."""
+    return [sum(map(mul, comp, vals)) for comp in enumerate_compositions(h, len(vals))]
+
+
+def _products(vals, h: int) -> list[int]:
+    """prod p_i**c_i for every composition c of h into len(vals) parts, in
+    composition order."""
+    return [math.prod(map(pow, vals, comp)) for comp in enumerate_compositions(h, len(vals))]
+
+
 def h_type(A, h: int) -> TypePartition:
     """The h-type of an IntegerSet or RationalSet."""
     if h < 1:
         raise ValueError("h must be positive")
-    vals = A.elements
-    k = len(vals)
-    comps = enumerate_compositions(h, k)
-    ids = _partition_by(sum(c * v for c, v in zip(comp, vals)) for comp in comps)
-    return TypePartition(h, k, ids)
+    return TypePartition(h, A.k, _partition_by(_sums(A.elements, h)))
 
 
 def product_type(P: IntegerSet, h: int) -> TypePartition:
@@ -116,26 +125,14 @@ def product_type(P: IntegerSet, h: int) -> TypePartition:
         raise ValueError("h must be positive")
     if P.elements[0] < 1:
         raise ValueError("product types need positive elements")
-    vals = P.elements
-    k = len(vals)
-    comps = enumerate_compositions(h, k)
-
-    def key(comp):
-        v = 1
-        for c, p in zip(comp, vals):
-            if c:
-                v *= p**c
-        return v
-
-    return TypePartition(h, k, _partition_by(key(c) for c in comps))
+    return TypePartition(h, P.k, _partition_by(_products(P.elements, h)))
 
 
 def separation(X, h: int) -> Fraction:
     """Smallest nonzero gap between distinct h-fold sums of X (exact)."""
     if h < 1:
         raise ValueError("h must be positive")
-    vals = X.elements
-    sums = sorted({sum(c * v for c, v in zip(comp, vals)) for comp in enumerate_compositions(h, len(vals))})
+    sums = sorted(set(_sums(X.elements, h)))
     if len(sums) < 2:
         raise ValueError("all h-fold sums coincide; separation undefined")
     return Fraction(min(b - a for a, b in zip(sums, sums[1:])))
@@ -364,13 +361,13 @@ def product_to_sum(P: IntegerSet, h: int) -> IntegerSet:
     if P.elements[0] < 1:
         raise ValueError("elements must be positive integers")
 
-    target = product_type(P, h)
+    products = _products(P.elements, h)
+    target = TypePartition(h, k, _partition_by(products))
     logs = [LogLinear.log2_of(p) for p in P.elements]
 
     # q0 >= 2 / sep_h(logs): the distinct h-fold products, sorted, give the
     # distinct log sums in order, so consecutive gaps cover the minimum.
-    comps = enumerate_compositions(h, k)
-    prods = sorted({math.prod(p**c for p, c in zip(P.elements, comp) if c) for comp in comps})
+    prods = sorted(set(products))
     if len(prods) < 2:
         # only possible for P = {1}; excluded by k >= 2 with distinct elements
         raise ValueError("all h-fold products coincide")

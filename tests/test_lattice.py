@@ -222,6 +222,25 @@ def reduced_norms(rows) -> tuple[int, ...]:
     return tuple(sum(map(abs, row)) for row in lattice._l1_reduce(rows))
 
 
+def swept_cap(A: IntegerSet, count: int, max_cap: int) -> int:
+    """The one cap find_minima sweeps: the count-th reduced norm, clipped
+    to max_cap."""
+    return min(reduced_norms(coefficient_lattice_basis(A).rows)[count - 1], max_cap)
+
+
+def assert_matches_doubling_oracle(A: IntegerSet, count: int, max_cap: int) -> None:
+    """find_minima has the oracle's minima, minimizers and truncation, and
+    reports the cap it swept, which is max_cap when truncated."""
+    rep = find_minima(A, count, max_cap)
+    oracle = doubling_find_minima(A, count, max_cap)
+    assert (rep.minima, rep.minimizers, rep.truncated) == (oracle.minima, oracle.minimizers, oracle.truncated)
+    assert rep.cap == swept_cap(A, count, max_cap)
+    if rep.truncated:
+        assert rep.cap == max_cap
+    else:
+        assert rep.minima[-1] <= rep.cap
+
+
 def sorted_shells(shells):
     return {norm: sorted(vecs) for norm, vecs in shells.items()}
 
@@ -290,6 +309,9 @@ def test_minima_golden_values():
     assert rep.minima == (4, 190)
     assert rep.minimizers[0] in ((1, -1, -1, 1), (-1, 1, 1, -1))
     assert rep.minimizers[1] in ((0, -4, 95, -91), (0, 4, -95, 91))
+    # find_minima sweeps once, at lambda_2 itself, and reports that radius
+    rep = find_minima(IntegerSet([1, 5, 96, 100]), 2)
+    assert (rep.minima, rep.cap, rep.truncated) == ((4, 190), 190, False)
 
 
 def test_minima_lemma_set_derived():
@@ -470,9 +492,7 @@ def minima_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(minima_cases())
 def test_find_minima_matches_doubling_oracle(case):
-    # the whole report, cap and truncated included
-    A, count, max_cap = case
-    assert find_minima(A, count, max_cap) == doubling_find_minima(A, count, max_cap)
+    assert_matches_doubling_oracle(*case)
 
 
 @settings(max_examples=300, deadline=None)
@@ -501,7 +521,7 @@ def test_gauss_minima_are_the_swept_minima(elems):
 @pytest.mark.parametrize("max_cap", [4, 8, 16, 64, 100, 256])
 def test_k4_find_minima_matches_doubling_oracle_on_named_sets(A, max_cap):
     for count in (1, 2):
-        assert find_minima(A, count, max_cap) == doubling_find_minima(A, count, max_cap)
+        assert_matches_doubling_oracle(A, count, max_cap)
 
 
 NAMED_SETS_OF_EVERY_K = [
@@ -520,10 +540,9 @@ NAMED_SETS_OF_EVERY_K = [
 @pytest.mark.parametrize("max_cap", [4, 8, 16, 30, 64])
 def test_find_minima_matches_doubling_oracle_on_named_sets_of_every_k(A, max_cap):
     for count in range(1, A.k - 1):
-        assert find_minima(A, count, max_cap) == doubling_find_minima(A, count, max_cap)
+        assert_matches_doubling_oracle(A, count, max_cap)
 
 
-# k = 4 is test_k4_find_minima_sweeps_once, with the sweep at lambda_2 itself
 @pytest.mark.parametrize(
     "elems, count, max_cap",
     [
@@ -533,6 +552,8 @@ def test_find_minima_matches_doubling_oracle_on_named_sets_of_every_k(A, max_cap
         ((4, 9, 31, 44, 60), 2, 16),
         ((0, 1, 2, 3, 4, 5), 2, 64),
         ((0, 1, 2, 3, 4, 5), 4, 8),
+        ((1, 5, 96, 100), 2, 1024),  # k = 4 sweeps at lambda_2 = 190 itself
+        ((1, 5, 96, 100), 2, 64),  # lambda_2 = 190 > max_cap: truncated
     ],
 )
 def test_find_minima_sweeps_once(monkeypatch, elems, count, max_cap):
@@ -546,26 +567,9 @@ def test_find_minima_sweeps_once(monkeypatch, elems, count, max_cap):
     monkeypatch.setattr(lattice, "successive_minima", counted)
     A = IntegerSet(elems)
     rep = find_minima(A, count, max_cap)
-    bound = lattice._l1_reduce(coefficient_lattice_basis(A).rows)[count - 1]
-    assert caps == [min(sum(map(abs, bound)), max_cap)]
-    assert rep == doubling_find_minima(A, count, max_cap)
-
-
-def test_k4_find_minima_sweeps_once(monkeypatch):
-    caps = []
-    sweep = lattice.successive_minima
-
-    def counted(A, count, cap):
-        caps.append(cap)
-        return sweep(A, count, cap)
-
-    monkeypatch.setattr(lattice, "successive_minima", counted)
-    A = IntegerSet([1, 5, 96, 100])
-    rep = find_minima(A, 2, max_cap=1024)
-    assert caps == [190] and rep.minima == (4, 190) and rep.cap == 256
-    caps.clear()
-    rep = find_minima(A, 2, max_cap=64)  # lambda_2 = 190 > max_cap
-    assert caps == [64] and rep.truncated and rep.minima == (4,) and rep.cap == 64
+    assert caps == [swept_cap(A, count, max_cap)]
+    assert rep.cap == caps[0]
+    assert_matches_doubling_oracle(A, count, max_cap)
 
 
 def test_gauss_minima_equal_minima_and_either_row_order():
@@ -593,34 +597,6 @@ def test_reduction_keeps_the_lattice_and_bounds_every_minimum():
         minima = successive_minima(A, k - 2, caps[k]).minima
         for j, norm in enumerate(norms):
             assert norm > caps[k] or norm >= minima[j], (A, norms, minima)
-
-
-# The doubling schedule find_minima's report cap is named after, verbatim.
-_START_CAP = 16
-
-
-def _cap_schedule(max_cap: int):
-    """16, 32, 64, ... clipped to max_cap, ending at max_cap."""
-    cap = min(_START_CAP, max_cap)
-    yield cap
-    while cap < max_cap:
-        cap = min(cap * 2, max_cap)
-        yield cap
-
-
-def test_report_cap_is_the_first_schedule_cap_at_or_above_need():
-    def check(need, max_cap):
-        expected = next(c for c in _cap_schedule(max_cap) if c >= need)
-        assert lattice._report_cap(need, max_cap) == expected, (need, max_cap)
-
-    for max_cap in range(4, 1025, 2):
-        for need in range(4, max_cap + 1, 2):
-            check(need, max_cap)
-    for e in range(2, 21):
-        for max_cap in (2**e - 2, 2**e, 2**e + 2):
-            for need in {4, 2**e - 2, 2**e, 2**e + 2, max_cap}:
-                if 4 <= need <= max_cap:
-                    check(need, max_cap)
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumsetlab import sumset
@@ -18,6 +18,15 @@ GOLDEN_DIFFS = (0, 0, 1, 3, 6, 10, 15, 23, 35, 49, 64)
 def brute_sumset(A, h):
     """Oracle: all sums of ordered h-tuples, k**h of them."""
     return {sum(t) for t in itertools.product(A.elements, repeat=h)}
+
+
+def iterated_sumsets(A, h):
+    """Oracle: [1A, ..., hA] from jA = (j-1)A + A, on the elements
+    themselves; k*|(j-1)A| sums per step instead of k**j."""
+    out = [set(A.elements)]
+    for _ in range(h - 1):
+        out.append({s + a for s in out[-1] for a in A.elements})
+    return out
 
 
 def test_h1_is_identity():
@@ -153,6 +162,8 @@ def _fold_outcome(A, h):
     st.integers(1, 5),
     st.integers(1, 80),
 )
+# a 20001-bit window, which h_fold_sumset decodes in one pass
+@example([0, 1, 5, 97, 1000], 20, 100_000)
 def test_fold_bitmask_and_set_paths_match_oracle(values, h, cap):
     A = IntegerSet(values)
     with pytest.MonkeyPatch.context() as mp:
@@ -164,9 +175,10 @@ def test_fold_bitmask_and_set_paths_match_oracle(values, h, cap):
         sets = _fold_outcome(A, h)
     assert bitmask == sets
 
-    expected = [len(brute_sumset(A, j)) for j in range(1, h + 1)]
+    sums = iterated_sumsets(A, h)
+    expected = [len(jA) for jA in sums]
     if max(expected[1:], default=0) > cap:
         assert bitmask is None  # both paths raise CapExceeded
     else:
-        hA = brute_sumset(A, h)
+        hA = sums[-1]
         assert bitmask == (expected, {s - h * A.elements[0] for s in hA}, hA)

@@ -70,7 +70,8 @@ def test_verify_random_small():
 
 
 def test_verify_truncation_error():
-    with pytest.raises(MinimaTruncatedError):
+    # a truncated report swept max_cap itself, so the message names it
+    with pytest.raises(MinimaTruncatedError, match=r"exceeds cap 64$"):
         verify_main_theorem(IntegerSet([1, 5, 96, 100]), max_cap=64)
 
 
