@@ -197,10 +197,14 @@ def _cmd_theory_verify(args) -> None:
         return
     reports = []
     with open(args.file) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                reports.append(_verify_one(IntegerSet.from_text(line), args.max_cap))
+                try:
+                    reports.append(_verify_one(IntegerSet.from_text(line), args.max_cap))
+                except (ValueError, RuntimeError) as exc:
+                    exc.args = (f"{args.file} line {number}: {exc}",)
+                    raise
     _emit(args, {"reports": reports, "all_match": all(r["all_match"] for r in reports)})
 
 

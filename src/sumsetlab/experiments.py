@@ -30,13 +30,18 @@ OR_{j=0..h} (M_{h-j} << j*(x - min(P))), since h(P u {x}) is the union of
 saw, so P is folded once and every last element costs h shift-ORs and one
 bit count.
 
-The type census walks the same (k-1)-prefixes. Splitting each composition
-c of h into its head c[:-1] and last part c_k gives
-sum(c * (P u {x})) = head . P + c_k * x, so the composition list is built
-once per census, the head dot products once per prefix, and every last
-element costs one multiply-add per composition. Relabelling those sums by
-first appearance gives exactly `h_type(P u {x}, h).class_ids`, the key the
-census groups by.
+The type census runs over the subsets in lexicographic order, in blocks
+of at most _CENSUS_BLOCK matrix entries. With W the k x C matrix whose
+columns are the C compositions of h, one matmul gives every sum
+c . A of a block's subsets A, one row per subset. A stable argsort of
+each row puts equal sums next to each other with the earliest composition
+first; comparing neighbours marks where each group of equal sums starts,
+a running maximum carries that start along the group, and a scatter gives
+every composition the index of the first composition in its class. That
+row is a bijective image of `h_type(A, h).class_ids`, and its bytes are
+the key the census groups by. The sums are at most h*n, so the block
+works in int64 when h*n < 2^63 and in Python ints (object arrays) on the
+same steps otherwise.
 """
 
 from __future__ import annotations
@@ -52,7 +57,6 @@ from .core import CapExceeded, IntegerSet, binomial, enumerate_compositions
 from .lattice import _check_minima_args, find_minima
 from .sumset import fold_size
 from .theory import popular_sizes
-from .types import _partition_by
 from .types import h_type  # noqa: F401  unused; perfbench/spans.py wraps experiments.h_type
 
 SHARD_COUNT = 64
@@ -61,6 +65,9 @@ DEFAULT_SUBSET_BUDGET = 5_000_000
 
 # Samples drawn per Generator.integers call in `_sample_subsets`.
 _DRAW_BLOCK = 1024
+
+# Matrix entries (subsets times compositions) per block of `type_census`.
+_CENSUS_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -327,12 +334,11 @@ def type_census(n: int, k: int, h: int) -> tuple[int, list[IntegerSet]]:
     first appearance. The count is a lower bound for the number of types
     over all of Z, not an answer to how many exist.
 
-    Subsets are visited as (k-1)-prefixes P in lexicographic order, then
-    last elements x > max(P), which is the order of
-    itertools.combinations. The sums of the compositions c of h over
-    P u {x} are head . P + c_k * x, with the head dot products computed
-    once per P; the key of a subset is those sums relabelled by first
-    appearance, which is its `h_type(..., h).class_ids`.
+    Subsets are visited in the order of itertools.combinations, in blocks
+    of at most _CENSUS_BLOCK composition sums. A subset's key gives each
+    composition the index of the first composition with the same sum,
+    which is a bijective image of its `h_type(..., h).class_ids`; the
+    module docstring says how a block computes it.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -340,13 +346,22 @@ def type_census(n: int, k: int, h: int) -> tuple[int, list[IntegerSet]]:
     if h < 1:
         raise ValueError("h must be positive")
     comps = enumerate_compositions(h, k)
-    heads = [c[:-1] for c in comps]
-    lasts = [c[-1] for c in comps]
-    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for prefix in itertools.combinations(range(1, n), k - 1):
-        pre = [sum(c * p for c, p in zip(head, prefix)) for head in heads]
-        for x in range(prefix[-1] + 1 if prefix else 1, n + 1):
-            key = _partition_by([s + c * x for s, c in zip(pre, lasts)])
-            if key not in seen:
-                seen[key] = prefix + (x,)
+    dtype = np.int64 if h * n < 2**63 else object
+    weights = np.array(comps, dtype=dtype).T
+    rows = max(1, _CENSUS_BLOCK // len(comps))
+    cols = np.arange(1, len(comps))
+    key_dtype = np.min_scalar_type(len(comps) - 1)
+    combos = itertools.combinations(range(1, n + 1), k)
+    seen: dict[bytes, tuple[int, ...]] = {}
+    while block := list(itertools.islice(combos, rows)):
+        sums = np.array(block, dtype=dtype) @ weights
+        order = np.argsort(sums, axis=1, kind="stable")
+        ordered = np.take_along_axis(sums, order, axis=1)
+        starts = np.zeros(order.shape, dtype=np.intp)
+        starts[:, 1:] = np.where(ordered[:, 1:] != ordered[:, :-1], cols, 0)
+        np.maximum.accumulate(starts, axis=1, out=starts)
+        keys = np.empty(order.shape, dtype=key_dtype)
+        np.put_along_axis(keys, order, np.take_along_axis(order, starts, axis=1), axis=1)
+        for subset, key in zip(block, keys):
+            seen.setdefault(bytes(key), subset)
     return len(seen), [IntegerSet(rep) for rep in seen.values()]

@@ -490,4 +490,4 @@ def test_malformed_verify_file_line_is_computation_error(tmp_path, capsys):
     path.write_text("0,2,18,25\n1,x\n")
     code, _, err = run_cli(capsys, ["theory", "verify", "--file", str(path)])
     assert code == 1
-    assert "error:" in err
+    assert err.startswith(f"error: {path} line 2: ")

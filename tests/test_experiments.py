@@ -1,6 +1,8 @@
 import itertools
+import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from sumsetlab.experiments import (
     type_census,
 )
 from sumsetlab.sumset import fold_size
-from sumsetlab.types import h_type
+from sumsetlab.types import _partition_by, h_type
 
 
 def brute_scan(n, k, h):
@@ -525,6 +527,28 @@ def type_census_oracle(n, k, h):
     return len(seen), [IntegerSet(rep) for rep in seen.values()]
 
 
+def type_census_prefix_oracle(n, k, h):
+    """The census from shared prefix sums, one `_partition_by` relabelling
+    per subset: the loop `type_census` ran before it was batched."""
+    experiments._subset_count(n, k)
+    comps = core.enumerate_compositions(h, k)
+    heads = [c[:-1] for c in comps]
+    lasts = [c[-1] for c in comps]
+    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for prefix in itertools.combinations(range(1, n), k - 1):
+        pre = [sum(c * p for c, p in zip(head, prefix)) for head in heads]
+        for x in range(prefix[-1] + 1 if prefix else 1, n + 1):
+            key = _partition_by([s + c * x for s, c in zip(pre, lasts)])
+            if key not in seen:
+                seen[key] = prefix + (x,)
+    return len(seen), [IntegerSet(rep) for rep in seen.values()]
+
+
+def assert_same_census(census, oracle):
+    assert census[0] == oracle[0]
+    assert [r.elements for r in census[1]] == [r.elements for r in oracle[1]]
+
+
 @st.composite
 def census_shapes(draw):
     k = draw(st.integers(1, 6))
@@ -539,10 +563,56 @@ def census_shapes(draw):
 @example((14, 5, 3))
 @example((20, 3, 5))
 def test_type_census_matches_per_subset_oracle(shape):
-    count, reps = type_census(*shape)
-    oracle_count, oracle_reps = type_census_oracle(*shape)
-    assert count == oracle_count
-    assert [r.elements for r in reps] == [r.elements for r in oracle_reps]
+    census = type_census(*shape)
+    assert_same_census(census, type_census_oracle(*shape))
+    assert_same_census(census, type_census_prefix_oracle(*shape))
+
+
+@pytest.mark.parametrize("block", [1, 37])
+@pytest.mark.parametrize("shape", [(12, 4, 2), (12, 4, 3), (14, 5, 2), (16, 3, 4), (18, 3, 3)])
+def test_type_census_blocks_split_prefixes(monkeypatch, block, shape):
+    # At 37 entries a block holds 1 to 3 of these subsets, so block ends
+    # split (k-1)-prefixes, and the last type to appear lies past the
+    # first block.
+    monkeypatch.setattr(experiments, "_CENSUS_BLOCK", block)
+    n, k, h = shape
+    census = type_census(*shape)
+    assert_same_census(census, type_census_prefix_oracle(*shape))
+    rows = max(1, block // binomial(h + k - 1, k - 1))
+    first_block = list(itertools.islice(itertools.combinations(range(1, n + 1), k), rows))
+    assert census[1][-1].elements not in first_block
+
+
+@pytest.mark.parametrize("h, dtype", [(2**62 - 1, np.int64), (2**62, object)])
+def test_type_census_sums_in_int64_only_below_two_to_the_63(monkeypatch, h, dtype):
+    # The largest sum is h * n: 2^63 - 2 fits in int64, 2^63 does not.
+    dtypes = []
+    argsort = np.argsort
+
+    def spy(a, *args, **kwargs):
+        dtypes.append(a.dtype)
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    census = type_census(2, 1, h)
+    assert dtypes == [np.dtype(dtype)]
+    assert_same_census(census, type_census_prefix_oracle(2, 1, h))
+
+
+def test_type_census_is_exact_past_int64():
+    assert type_census(5, 1, 10**23) == (1, [IntegerSet([1])])
+
+
+def test_type_census_working_set_is_one_block():
+    # Every subset's sums at once would take about 7.5 MiB per array.
+    type_census(30, 4, 4)
+    tracemalloc.start()
+    try:
+        type_census(30, 4, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_type_census_enumerates_compositions_once(monkeypatch):
