@@ -36,12 +36,15 @@ Three transports are implemented, all exact:
     precision; an irrational value is never an integer or zero, so some
     precision settles each one, and past the last entry of
     PRECISION_SCHEDULE it raises PrecisionExhaustedError. The intervals
-    are dyadic fixed point: mpmath supplies a midpoint of log2 n, held
-    with its margin as integers lo/2**s <= log2 n <= hi/2**s, and a
-    value's rational part and coefficient are put over one denominator
-    with them, so each floor and sign is a comparison of integers. The
-    only Fraction built is the positive lower bound a sign returns, which
-    fixes q0. The output set is verified against the product type by exact
+    are dyadic fixed point, computed in integers: log2 n = e + ln m / ln 2
+    for n = 2**e * m, m in [1, 2), with ln m and ln 2 summed as a
+    truncated atanh series under an explicit error bound, held as
+    integers lo/2**s < log2 n < hi/2**s. A value's rational part and
+    coefficient are put over one denominator with them, so each floor and
+    sign is a comparison of integers. q0 is exact, the least q with
+    r**q >= 4 for the least ratio r of two distinct h-fold products, so
+    the output depends on (P, h) alone and not on how tight an interval
+    is. The output set is verified against the product type by exact
     big-integer products before being returned.
 """
 
@@ -52,8 +55,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-
-import mpmath
 
 from .core import CapExceeded, IntegerSet, RationalSet, enumerate_compositions
 
@@ -234,25 +235,62 @@ def sum_to_product(S: IntegerSet) -> IntegerSet:
 
 
 # Distinct (n, bits) intervals kept. The eight passes of the perfbench
-# types workload need 458 together; a process that keeps transporting
+# types workload need 259 together; a process that keeps transporting
 # fresh sets evicts the least recently used.
 _LOG2_CACHE_SIZE = 1024
 
 
+def _ln_fixed(m: int, p: int) -> tuple[int, int]:
+    """(L, N): L/2**p approximates ln(m/2**p), for 2**p <= m <= 2**(p+1),
+    as 2*atanh(z), z = (m - 2**p)/(m + 2**p) <= 1/3, summed over the N
+    terms z**(2i+1)/(2i+1) before a power truncates to zero. Every
+    operation is in integers with p fractional bits and truncates."""
+    one = 1 << p
+    z = ((m - one) << p) // (m + one)
+    z2 = z * z >> p
+    total = n_terms = 0
+    term = z
+    while term:
+        total += term // (2 * n_terms + 1)
+        term = term * z2 >> p
+        n_terms += 1
+    return 2 * total, n_terms
+
+
+@functools.lru_cache(maxsize=None)
+def _ln2_fixed(p: int) -> tuple[int, int]:
+    """_ln_fixed at m = 2: ln 2 from the series at z = 1/3."""
+    return _ln_fixed(2 << p, p)
+
+
 @functools.lru_cache(maxsize=_LOG2_CACHE_SIZE)
 def _log2_bounds(n: int, bits: int) -> tuple[int, int, int]:
-    """Integers (lo, hi, s) with lo/2**s < log2(n) < hi/2**s, n >= 1: the
-    dyadic interval mid +- 2**-bits around an mpmath midpoint mid, width
-    2**(1-bits). The rounding error is relative, and log2(n) is below
-    n.bit_length(), so the working precision carries
-    n.bit_length().bit_length() guard bits to keep the absolute error
-    below the margin for arbitrarily large n."""
-    with mpmath.workprec(bits + 16 + n.bit_length().bit_length()):
-        x = mpmath.log(n) / mpmath.log(2)
-    sign, man, exp, _ = x._mpf_
-    s = max(bits, -exp)
-    mid = (-1) ** sign * int(man) << (exp + s)
+    """Integers (lo, hi, s) with lo/2**s < log2(n) < hi/2**s, n >= 1, and
+    hi - lo = 2**(s - bits + 1).
+
+    n = 2**e * m with m in [1, 2). e is exact, so only log2 m = ln m / ln 2
+    is approximated, and the error does not grow with n. The fixed point
+    has s = bits + g fractional bits, g = bits.bit_length() + 5; a unit is
+    2**-s. Truncating m and z costs under 1.5 units of z, so under 3.375
+    units of 2*atanh(z), whose derivative is at most 9/4 for z <= 1/3.
+    Each of the N - 1 series terms after the first loses under 1.5 units,
+    and the tail after the last nonzero term is under 0.6 units, both
+    doubled by the 2. So ln m and ln 2 each come out between 0 and
+    E = 3N + 4 units below their true values, where each term is at most
+    1/9 of the last, so N <= s/3 + 1 and E < s + 5. Dividing the bounds
+    outward puts log2 m in an interval about 2E/ln 2 + 2 units wide, under
+    3*(s + 5). The returned interval is centred on it with half-width
+    2**g >= 32*(bits + 1), which covers it for every bits >= 1.
+    """
+    s = bits + bits.bit_length() + 5
+    e = n.bit_length() - 1
+    m = n << (s - e) if e <= s else n >> (e - s)
+    a, na = _ln_fixed(m, s)
+    b, nb = _ln2_fixed(s)
+    q_lo = (a << s) // (b + 3 * nb + 4)
+    q_hi = -(-((a + 3 * na + 4) << s) // b)
     margin = 1 << (s - bits)
+    mid = (e << s) + (q_lo + q_hi) // 2
     return mid - margin, mid + margin, s
 
 
@@ -313,10 +351,6 @@ class LogLinear:
         scale = cn * rd
         return base + scale * lo, base + scale * hi, rd * cd << s
 
-    def bounds(self, bits: int) -> tuple[Fraction, Fraction]:
-        lo, hi, d = self._interval(bits)
-        return Fraction(lo, d), Fraction(hi, d)
-
     def floor(self) -> int:
         """Exact floor. Rational values short-circuit; irrational values
         are never integers, so interval refinement settles at some
@@ -345,13 +379,43 @@ class LogLinear:
         raise PrecisionExhaustedError("lower bound of a log-linear value", PRECISION_SCHEDULE)
 
 
+def _q0(products) -> int:
+    """The least q with r**q >= 4, i.e. q*log2(r) >= 2, where r is the
+    least ratio of two distinct products: the least dilation that puts
+    every two distinct h-fold log sums at least 2 apart."""
+    prods = sorted(set(products))
+    if len(prods) < 2:
+        # only possible for P = {1}; excluded by k >= 2 with distinct elements
+        raise ValueError("all h-fold products coincide")
+    a, b = prods[1], prods[0]
+    for m1, m2 in zip(prods[1:], prods[2:]):
+        if m2 * b < a * m1:
+            a, b = m2, m1
+    gap = LogLinear.log2_of(Fraction(a, b))
+    # never below the least q; step down, doubling the step while it still
+    # suffices, then bisect the last step
+    q0 = math.ceil(Fraction(2) / gap.sign_lower_bound())
+    step = 1
+    while gap.scaled(q0 - step).floor() >= 2:
+        q0 -= step
+        step *= 2
+    while step > 1:
+        step //= 2
+        if gap.scaled(q0 - step).floor() >= 2:
+            q0 -= step
+    return q0
+
+
 def product_to_sum(P: IntegerSet, h: int) -> IntegerSet:
     """A set of nonnegative integers whose additive h-type equals the
     multiplicative h-type of P (elements positive, k >= 2).
 
     Runs the box-collision scan on {log2 p : p in P} with the LogLinear
-    representation, then verifies the claimed type identity exactly via
-    big-integer products before returning.
+    representation, from q0 the least q with r**q >= 4, where r is the
+    least ratio of two distinct h-fold products. Every floor the scan and
+    the rounding take is exact, so the output depends on (P, h) only. The
+    claimed type identity is verified exactly via big-integer products
+    before returning.
     """
     if h < 1:
         raise ValueError("h must be positive")
@@ -364,19 +428,7 @@ def product_to_sum(P: IntegerSet, h: int) -> IntegerSet:
     products = _products(P.elements, h)
     target = TypePartition(h, k, _partition_by(products))
     logs = [LogLinear.log2_of(p) for p in P.elements]
-
-    # q0 >= 2 / sep_h(logs): the distinct h-fold products, sorted, give the
-    # distinct log sums in order, so consecutive gaps cover the minimum.
-    prods = sorted(set(products))
-    if len(prods) < 2:
-        # only possible for P = {1}; excluded by k >= 2 with distinct elements
-        raise ValueError("all h-fold products coincide")
-    sep_lb = None
-    for m1, m2 in zip(prods, prods[1:]):
-        gap = LogLinear.log2_of(Fraction(m2, m1)).sign_lower_bound()
-        sep_lb = gap if sep_lb is None else min(sep_lb, gap)
-    q0 = math.ceil(Fraction(2) / sep_lb)
-    Q = _collision_dilation(logs, lambda l, m: l.scaled(m).floor(), q0, h)
+    Q = _collision_dilation(logs, lambda l, m: l.scaled(m).floor(), _q0(products), h)
 
     half = Fraction(1, 2)
     members = [l.scaled(Q).plus_rational(half).floor() for l in logs]

@@ -1,10 +1,16 @@
+import functools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
+import sumsetlab
 from sumsetlab import types
 from sumsetlab.cli import main
 from sumsetlab.core import CapExceeded, IntegerSet, RationalSet, binomial, enumerate_compositions
@@ -14,6 +20,7 @@ from sumsetlab.types import (
     PrecisionExhaustedError,
     _collision_dilation,
     _log2_bounds,
+    _q0,
     embed_real_to_integers,
     h_type,
     product_to_sum,
@@ -524,6 +531,12 @@ def test_log2_bounds_contain_the_logarithm_of_huge_integers():
             assert lo + Fraction(1, 1 << 300) < true < hi - Fraction(1, 1 << 300), (n, bits)
 
 
+def _bounds(value: LogLinear, bits: int) -> tuple[Fraction, Fraction]:
+    """The value's interval at `bits` as Fractions."""
+    lo, hi, d = value._interval(bits)
+    return Fraction(lo, d), Fraction(hi, d)
+
+
 def test_log_linear_of_ratios_and_negative_scalings():
     assert LogLinear.log2_of(Fraction(96, 3)).is_rational  # 32 = 2**5
     assert LogLinear.log2_of(Fraction(96, 3)).rat == 5
@@ -536,12 +549,12 @@ def test_log_linear_of_ratios_and_negative_scalings():
     with pytest.raises(ValueError):
         LogLinear.log2_of(0)
     # log2(5/3): the two logs' intervals subtract, so the widths add
-    lo, hi = LogLinear.log2_of(Fraction(5, 3)).bounds(64)
+    lo, hi = _bounds(LogLinear.log2_of(Fraction(5, 3)), 64)
     assert hi - lo == 4 * Fraction(1, 1 << 64)
     assert lo < _log2_to_400_bits(Fraction(5, 3)) < hi
     z = LogLinear.log2_of(Fraction(1, 3))  # num = 1: still irrational
     assert not z.is_rational and z.floor() == -2
-    lo, hi = LogLinear.log2_of(3).scaled(-1).bounds(64)
+    lo, hi = _bounds(LogLinear.log2_of(3).scaled(-1), 64)
     assert lo < -_log2_to_400_bits(3) < hi
     assert LogLinear.log2_of(3).scaled(-1).floor() == -2
     assert LogLinear.log2_of(Fraction(5, 3)).scaled(-7).floor() == -6  # -5.16...
@@ -551,26 +564,22 @@ def test_log_linear_of_ratios_and_negative_scalings():
 # ---------------------------------------------------------------------------
 # Oracle: LogLinear's bounds, floor and sign decisions as they were before
 # they moved to integer fixed-point intervals, in Fraction arithmetic.
-# Copied verbatim except for the names and the module-level state they read
-# (their own log cache, and the schedule through the module).
+# Copied verbatim except for the names, the module-level state they read
+# (their own log cache, and the schedule through the module), and the
+# source of each log's interval: the oracle checks the interval
+# arithmetic, so it takes its logs from types._log2_bounds, whose own
+# oracle is test_log2_bounds_match_mpmath.
 
 _FRACTION_LOG2_CACHE: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
 
 
 def fraction_log2_bounds(n: int, bits: int) -> tuple[Fraction, Fraction]:
     """Dyadic interval certainly containing log2(n), n >= 1, width
-    2**(1-bits). The rounding error is relative, and log2(n) is below
-    n.bit_length(), so the working precision carries
-    n.bit_length().bit_length() guard bits to keep the absolute error
-    below the margin for arbitrarily large n."""
+    2**(1-bits)."""
     key = (n, bits)
     if key not in _FRACTION_LOG2_CACHE:
-        with mpmath.workprec(bits + 16 + n.bit_length().bit_length()):
-            x = mpmath.log(n) / mpmath.log(2)
-        sign, man, exp, _ = x._mpf_
-        mid = Fraction((-1) ** sign * int(man)) * Fraction(2) ** exp
-        margin = Fraction(1, 1 << bits)
-        _FRACTION_LOG2_CACHE[key] = (mid - margin, mid + margin)
+        lo, hi, s = _log2_bounds(n, bits)
+        _FRACTION_LOG2_CACHE[key] = (Fraction(lo, 1 << s), Fraction(hi, 1 << s))
     return _FRACTION_LOG2_CACHE[key]
 
 
@@ -658,7 +667,7 @@ def test_integer_intervals_match_fraction_oracle(monkeypatch):
     cases = list(_log_linear_cases())
     for fields in cases:
         fast, oracle = LogLinear(*fields), FractionLogLinear(*fields)
-        assert fast.bounds(64) == oracle.bounds(64), fields
+        assert _bounds(fast, 64) == oracle.bounds(64), fields
         assert _floor_and_sign(fast) == _floor_and_sign(oracle), fields
     # at 2 bits each log's interval is 1/2 wide, so any value with
     # |coeff| >= 2 spans an integer and its floor stays undecided
@@ -686,3 +695,131 @@ def test_log2_cache_stays_bounded():
     assert info.maxsize == types._LOG2_CACHE_SIZE >= 1024
     assert info.misses > info.maxsize
     assert info.currsize == info.maxsize
+
+
+# ---------------------------------------------------------------------------
+# Oracle: q0 as product_to_sum computed it before it was exact, from a
+# 64-bit lower bound per gap, with each log's interval from mpmath.
+# Copied verbatim except for the names, the return, the log cache size,
+# and the split of q0 out of the transport.
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def mpmath_log2_bounds(n: int, bits: int) -> tuple[int, int, int]:
+    """Integers (lo, hi, s) with lo/2**s < log2(n) < hi/2**s, n >= 1: the
+    dyadic interval mid +- 2**-bits around an mpmath midpoint mid, width
+    2**(1-bits). The rounding error is relative, and log2(n) is below
+    n.bit_length(), so the working precision carries
+    n.bit_length().bit_length() guard bits to keep the absolute error
+    below the margin for arbitrarily large n."""
+    with mpmath.workprec(bits + 16 + n.bit_length().bit_length()):
+        x = mpmath.log(n) / mpmath.log(2)
+    sign, man, exp, _ = x._mpf_
+    s = max(bits, -exp)
+    mid = (-1) ** sign * int(man) << (exp + s)
+    margin = 1 << (s - bits)
+    return mid - margin, mid + margin, s
+
+
+def interval_q0(products) -> int:
+    """ceil(2/sep_lb), sep_lb the least of the per-gap lower bounds; run
+    with types._log2_bounds set to mpmath_log2_bounds."""
+    # q0 >= 2 / sep_h(logs): the distinct h-fold products, sorted, give the
+    # distinct log sums in order, so consecutive gaps cover the minimum.
+    prods = sorted(set(products))
+    if len(prods) < 2:
+        # only possible for P = {1}; excluded by k >= 2 with distinct elements
+        raise ValueError("all h-fold products coincide")
+    sep_lb = None
+    for m1, m2 in zip(prods, prods[1:]):
+        gap = LogLinear.log2_of(Fraction(m2, m1)).sign_lower_bound()
+        sep_lb = gap if sep_lb is None else min(sep_lb, gap)
+    return math.ceil(Fraction(2) / sep_lb)
+
+
+def _q0_cases():
+    """3000 seeded (P, h): k = 2..6, h = 1..4, elements up to 10**12 (of
+    varied magnitude, some below 40), after P = {1, 2} and {1, 4}, whose
+    log2 r* is rational."""
+    yield from ((IntegerSet(P), h) for P in ((1, 2), (1, 4)) for h in (1, 2, 3, 4))
+    rng = random.Random(1031)
+    count = 8
+    while count < 3000:
+        top = 40 if count % 4 == 0 else 10 ** rng.randint(1, 12)
+        k = rng.randint(2, min(6, top))
+        yield IntegerSet(rng.sample(range(1, top + 1), k)), rng.randint(1, 4)
+        count += 1
+
+
+def test_exact_q0_matches_interval_oracle(monkeypatch):
+    cases = list(_q0_cases())
+    products = [types._products(P.elements, h) for P, h in cases]
+    with monkeypatch.context() as patched:
+        patched.setattr(types, "_log2_bounds", mpmath_log2_bounds)
+        oracle_q0 = [interval_q0(prods) for prods in products]
+        patched.setattr(types, "_q0", interval_q0)
+        oracle_out = [product_to_sum(P, h).elements for P, h in cases]
+    checked = 0
+    for (P, h), prods, q_old, old in zip(cases, products, oracle_q0, oracle_out):
+        q0 = _q0(prods)
+        assert q0 == q_old, (P, h)
+        assert product_to_sum(P, h).elements == old, (P, h)
+        distinct = sorted(set(prods))
+        r = min(Fraction(m2, m1) for m1, m2 in zip(distinct, distinct[1:]))
+        a, b = r.numerator, r.denominator
+        if a.bit_length() * q0 <= 20_000:
+            # the least q with r**q >= 4, in exact integers
+            assert a**q0 >= 4 * b**q0 and a ** (q0 - 1) < 4 * b ** (q0 - 1), (P, h)
+            checked += 1
+    assert checked > 1000
+    assert [_q0(types._products((1, 2), h)) for h in (1, 2, 3, 4)] == [2, 2, 2, 2]
+    assert [_q0(types._products((1, 4), h)) for h in (1, 2, 3, 4)] == [1, 1, 1, 1]
+
+
+def test_exact_q0_of_adjacent_large_elements():
+    # log2 r* ~ 1.4e-18 is under 7 times the width of its 64-bit interval,
+    # so the first guess is about 10**17 above q0, and the step-down must
+    # not walk there one unit at a time
+    for n in (10**12, 10**18, 2**61 - 1):
+        q0 = _q0([n, n + 1])
+        gap = LogLinear.log2_of(Fraction(n + 1, n))
+        assert gap.scaled(q0).floor() >= 2 > gap.scaled(q0 - 1).floor(), n
+        assert h_type(product_to_sum(IntegerSet([n, n + 1]), 1), 1).class_count == 2
+
+
+def test_log2_bounds_match_mpmath():
+    # _log2_bounds against mpmath at 300 more bits: strictly inside the
+    # interval, with hi - lo = 2**(s - bits + 1)
+    rng = random.Random(1033)
+    ns = [rng.randrange(1, 10 ** rng.randint(1, 40), 2) for _ in range(24)]
+    ns += [2**e + d for e in (1, 2, 3, 10, 63, 64, 65, 200, 1000, 5000) for d in (-1, 1)]
+    ns += [3**200000, 7 * 5**300001]
+    for bits in (2,) + types.PRECISION_SCHEDULE:
+        for n in ns:
+            lo, hi, s = _log2_bounds(n, bits)
+            assert hi - lo == 1 << (s - bits + 1), (n, bits)
+            prec = bits + 300
+            with mpmath.workprec(prec + 16 + n.bit_length().bit_length()):
+                x = mpmath.log(n) / mpmath.log(2)
+            sign, man, exp, _ = x._mpf_
+            true = Fraction((-1) ** sign * int(man)) * Fraction(2) ** exp
+            err = Fraction(1, 1 << prec)
+            assert Fraction(lo, 1 << s) < true - err and true + err < Fraction(hi, 1 << s), (n, bits)
+
+
+def test_cli_runs_without_mpmath():
+    code = "\n".join([
+        "import sys",
+        "sys.modules['mpmath'] = None",
+        "from sumsetlab.cli import main",
+        "for argv in (['types', 'to-sum', '--set', '2,3,4,6', '--h', '2'],",
+        "             ['types', 'embed', '--set', '0,1/3,5/7,1', '--h', '3'],",
+        "             ['experiment', 'type-census', '--n', '8', '--k', '4', '--h', '2']):",
+        "    assert main(argv) == 0, argv",
+    ])
+    package_root = Path(sumsetlab.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package_root), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert b'"type_count"' in proc.stdout
