@@ -21,7 +21,10 @@ class CapExceeded(RuntimeError):
 
 
 def _integral(value) -> int:
-    as_int = int(value)
+    try:
+        as_int = int(value)
+    except (OverflowError, ValueError):  # infinities, NaN, bad strings
+        as_int = None
     if as_int != value:
         raise ValueError(f"IntegerSet needs integral values, got {value!r}")
     return as_int
@@ -82,8 +85,8 @@ class _ElementSet:
 class IntegerSet(_ElementSet):
     """A finite set of integers, stored as a strictly increasing tuple.
 
-    Values must be integral (3, 3.0 and Fraction(6, 2) all give 3); a
-    non-integral value raises ValueError instead of being truncated.
+    Values must be integral (3, 3.0 and Fraction(6, 2) all give 3); any
+    other value, infinities and NaN too, raises ValueError.
     """
 
     __slots__ = ()
@@ -103,10 +106,17 @@ class IntegerSet(_ElementSet):
 
 class RationalSet(_ElementSet):
     """A finite set of exact rationals, strictly increasing. Accepts ints,
-    Fractions, and strings like ``1/2`` or ``-3``."""
+    Fractions, finite floats and strings like ``1/2``; others raise ValueError."""
 
     __slots__ = ()
-    _exact = _coerce = _parse = Fraction
+    _exact = _parse = Fraction
+
+    @staticmethod
+    def _coerce(value) -> Fraction:
+        try:
+            return Fraction(value)
+        except (OverflowError, ValueError):  # infinities, NaN, bad strings
+            raise ValueError(f"RationalSet needs finite rational values, got {value!r}") from None
 
     def __repr__(self) -> str:
         return f"RationalSet({[str(e) for e in self.elements]!r})"
@@ -145,19 +155,19 @@ def enumerate_compositions(t: int, k: int) -> list[tuple[int, ...]]:
     if total > DEFAULT_COMPOSITION_CAP:
         raise CapExceeded(f"{total} compositions exceed the cap of {DEFAULT_COMPOSITION_CAP}")
 
-    out: list[tuple[int, ...]] = []
-    vec = [0] * k
-
-    def fill(i: int, rem: int) -> None:
-        if i == k - 1:
-            vec[i] = rem
-            out.append(tuple(vec))
-            return
-        for c in range(rem + 1):
-            vec[i] = c
-            fill(i + 1, rem - c)
-
-    fill(0, t)
+    # Lexicographic successor: with c_i the last nonzero coordinate, add 1
+    # to c_{i-1} and move c_i - 1 to the last coordinate. No recursion.
+    vec = [0] * (k - 1) + [t]
+    out = [tuple(vec)]
+    while vec[0] != t:
+        i = k - 1
+        while not vec[i]:
+            i -= 1
+        c = vec[i]
+        vec[i] = 0
+        vec[i - 1] += 1
+        vec[-1] = c - 1
+        out.append(tuple(vec))
     return out
 
 

@@ -104,7 +104,7 @@ class LatticeBasis:
             return False
         try:
             v = [x if type(x) is int else _integral(x) for x in vector]
-        except (ValueError, OverflowError):
+        except ValueError:
             return False
         n = len(self.rows)
         echelon = _IntegerEchelon()

@@ -23,29 +23,31 @@ Three transports are implemented, all exact:
     verbatim.
 
   * product_to_sum: the same box-collision scan applied to the base-2
-    logarithms of the elements, handled symbolically. Every quantity the
-    scan compares is q + c*log2(r) for one positive rational r: a scaled
-    element log, or the log of a ratio m2/m1 of two h-fold products.
-    Writing r = 2**e * a/b with a, b odd and coprime, the value is
-    q + c*e + c*log2(a/b) (class LogLinear), and log2(a/b) is rational only
-    when a = b = 1: log2(a/b) = u/v with v > 0 gives a**v = 2**u * b**v,
-    where a**v and b**v are odd, so u = 0 and then a = b, which coprimality
-    makes 1. So a value is rational exactly when c = 0 or a = b = 1,
-    decided without factoring anything. Floors and strict signs of
-    irrational values are decided by interval evaluation at escalating
-    precision; an irrational value is never an integer or zero, so some
-    precision settles each one, and past the last entry of
+    logarithms of the elements, handled symbolically. Every number the
+    transport floors is an integer multiple m*log2(r) of the log of one
+    positive rational r: a scaled element log in the scan and the
+    rounding, or q*log2(r) for the least ratio r of two distinct h-fold
+    products when q0 is found. Writing r = 2**e * a/b with a, b odd and
+    coprime, log2(r) = e + log2(a/b) (class LogLinear, integer e and
+    coefficient 1), and log2(a/b) is rational only when a = b = 1:
+    log2(a/b) = u/v with v > 0 gives a**v = 2**u * b**v, where a**v and
+    b**v are odd, so u = 0 and then a = b, which coprimality makes 1. So
+    the multiple is rational, and then the integer m*e, exactly when
+    m = 0 or a = b = 1, decided without factoring anything. Floors and
+    strict signs of irrational values are decided by interval evaluation
+    at escalating precision; an irrational value is never an integer or
+    zero, so some precision settles each one, and past the last entry of
     PRECISION_SCHEDULE it raises PrecisionExhaustedError. The intervals
     are dyadic fixed point, computed in integers: log2 n = e + ln m / ln 2
     for n = 2**e * m, m in [1, 2), with ln m and ln 2 summed as a
     truncated atanh series under an explicit error bound, held as
-    integers lo/2**s < log2 n < hi/2**s. A value's rational part and
-    coefficient are put over one denominator with them, so each floor and
-    sign is a comparison of integers. q0 is exact, the least q with
-    r**q >= 4 for the least ratio r of two distinct h-fold products, so
-    the output depends on (P, h) alone and not on how tight an interval
-    is. The output set is verified against the product type by exact
-    big-integer products before being returned.
+    integers lo/2**s < log2 n < hi/2**s. Every coefficient is an integer,
+    so the bounds of a multiple stay over 2**s, and each floor is two
+    right shifts by s. Both transports round x to floor(x + 1/2) as
+    (floor(2x) + 1) // 2, the floor they scan with at 2x. q0 is exact,
+    the least q with r**q >= 4, so the output depends on (P, h) alone and
+    not on how tight an interval is. The output set is verified against
+    the product type by exact big-integer products before being returned.
 """
 
 from __future__ import annotations
@@ -162,11 +164,6 @@ class EmbeddingTrace:
         }
 
 
-def _nearest_int(v: Fraction) -> int:
-    # floor(v + 1/2); callers guarantee v is never exactly half-integral
-    return (2 * v.numerator + v.denominator) // (2 * v.denominator)
-
-
 def _collision_dilation(values, floor_scaled, q0: int, h: int) -> int:
     """A dilation Q, a positive multiple of q0, with every Q*v within
     1/(2h) of an integer. The fractional parts of q*q0*v, q = 0, 1, ...,
@@ -202,19 +199,18 @@ def embed_real_to_integers(X, h: int) -> tuple[IntegerSet, EmbeddingTrace]:
 
     sep = separation(RationalSet(xs), h)
     q0 = math.ceil(Fraction(2) / sep)
-    Q = _collision_dilation(xs[1:-1], lambda x, m: m * x.numerator // x.denominator, q0, h)
 
-    members = []
-    epsilons = []
-    for x in xs:
-        v = Q * x
-        a = _nearest_int(v)
-        members.append(a)
-        epsilons.append(v - a)
+    def floor(x: Fraction, m: int) -> int:
+        return m * x.numerator // x.denominator
+
+    Q = _collision_dilation(xs[1:-1], floor, q0, h)
+
+    members = [(floor(x, 2 * Q) + 1) // 2 for x in xs]
+    epsilons = tuple(Q * x - a for x, a in zip(xs, members))
     A = IntegerSet(members)
     if A.k != k:
         raise AssertionError("embedding collapsed two elements; q0 bound violated")
-    return A, EmbeddingTrace(q0, Q, tuple(epsilons), A)
+    return A, EmbeddingTrace(q0, Q, epsilons, A)
 
 
 def sum_to_product(S: IntegerSet) -> IntegerSet:
@@ -295,14 +291,16 @@ def _log2_bounds(n: int, bits: int) -> tuple[int, int, int]:
 
 
 class LogLinear:
-    """An exact number rat + coeff * log2(num/den), with num and den odd
-    and coprime. log2(num/den) is irrational unless num = den = 1, so the
-    number is rational precisely when coeff is 0 or num = den = 1.
+    """An exact number rat + coeff * log2(num/den), with integers rat and
+    coeff, and num and den odd and coprime. log2(num/den) is irrational
+    unless num = den = 1, so the number is rational, and then the integer
+    rat, precisely when coeff is 0 or num = den = 1. Floors are taken of
+    integer multiples m * self, which keep that form.
     """
 
     __slots__ = ("rat", "coeff", "num", "den")
 
-    def __init__(self, rat: Fraction | int = 0, coeff: Fraction | int = 0, num: int = 1, den: int = 1):
+    def __init__(self, rat: int = 0, coeff: int = 0, num: int = 1, den: int = 1):
         self.rat = rat
         self.coeff = coeff
         self.num = num
@@ -319,20 +317,13 @@ class LogLinear:
         tb = (b & -b).bit_length() - 1
         return cls(ta - tb, 1, a >> ta, b >> tb)
 
-    def scaled(self, m: int) -> "LogLinear":
-        return LogLinear(self.rat * m, self.coeff * m, self.num, self.den)
-
-    def plus_rational(self, r: Fraction) -> "LogLinear":
-        return LogLinear(self.rat + r, self.coeff, self.num, self.den)
-
     @property
     def is_rational(self) -> bool:
         return self.coeff == 0 or self.num == self.den == 1
 
-    def _interval(self, bits: int) -> tuple[int, int, int]:
-        """Integers (lo, hi, D), D > 0, with lo/D <= self <= hi/D, from the
-        log2 intervals at `bits`. D = rd*cd*2**s for rat = rn/rd and
-        coeff = cn/cd, where 2**s is the common denominator of the logs."""
+    def _interval(self, bits: int, m: int = 1) -> tuple[int, int, int]:
+        """Integers (lo, hi, s) with lo/2**s <= m*self <= hi/2**s, from the
+        log2 intervals at `bits`, whose common denominator is 2**s."""
         lo = hi = s = 0
         if self.num > 1:
             lo, hi, s = _log2_bounds(self.num, bits)
@@ -343,25 +334,23 @@ class LogLinear:
             else:
                 dlo, dhi = dlo << (s - ds), dhi << (s - ds)
             lo, hi = lo - dhi, hi - dlo
-        rn, rd = self.rat.numerator, self.rat.denominator
-        cn, cd = self.coeff.numerator, self.coeff.denominator
-        if cn < 0:
+        c = self.coeff * m
+        if c < 0:
             lo, hi = hi, lo
-        base = rn * cd << s
-        scale = cn * rd
-        return base + scale * lo, base + scale * hi, rd * cd << s
+        base = self.rat * m << s
+        return base + c * lo, base + c * hi, s
 
-    def floor(self) -> int:
-        """Exact floor. Rational values short-circuit; irrational values
-        are never integers, so interval refinement settles at some
-        precision, and PrecisionExhaustedError is raised when no entry of
-        PRECISION_SCHEDULE does."""
+    def floor(self, m: int = 1) -> int:
+        """Exact floor of m*self for an integer m. Rational values
+        short-circuit; irrational values are never integers, so interval
+        refinement settles at some precision, and PrecisionExhaustedError
+        is raised when no entry of PRECISION_SCHEDULE does."""
         if self.is_rational:
-            return math.floor(self.rat)
+            return self.rat * m
         for bits in PRECISION_SCHEDULE:
-            lo, hi, d = self._interval(bits)
-            flo = lo // d
-            if flo == hi // d:
+            lo, hi, s = self._interval(bits, m)
+            flo = lo >> s
+            if flo == hi >> s:
                 return flo
         raise PrecisionExhaustedError("floor of a log-linear value", PRECISION_SCHEDULE)
 
@@ -373,9 +362,9 @@ class LogLinear:
                 raise ValueError("value is not positive")
             return self.rat
         for bits in PRECISION_SCHEDULE:
-            lo, _, d = self._interval(bits)
+            lo, _, s = self._interval(bits)
             if lo > 0:
-                return Fraction(lo, d)
+                return Fraction(lo, 1 << s)
         raise PrecisionExhaustedError("lower bound of a log-linear value", PRECISION_SCHEDULE)
 
 
@@ -396,12 +385,12 @@ def _q0(products) -> int:
     # suffices, then bisect the last step
     q0 = math.ceil(Fraction(2) / gap.sign_lower_bound())
     step = 1
-    while gap.scaled(q0 - step).floor() >= 2:
+    while gap.floor(q0 - step) >= 2:
         q0 -= step
         step *= 2
     while step > 1:
         step //= 2
-        if gap.scaled(q0 - step).floor() >= 2:
+        if gap.floor(q0 - step) >= 2:
             q0 -= step
     return q0
 
@@ -428,10 +417,9 @@ def product_to_sum(P: IntegerSet, h: int) -> IntegerSet:
     products = _products(P.elements, h)
     target = TypePartition(h, k, _partition_by(products))
     logs = [LogLinear.log2_of(p) for p in P.elements]
-    Q = _collision_dilation(logs, lambda l, m: l.scaled(m).floor(), _q0(products), h)
+    Q = _collision_dilation(logs, LogLinear.floor, _q0(products), h)
 
-    half = Fraction(1, 2)
-    members = [l.scaled(Q).plus_rational(half).floor() for l in logs]
+    members = [(l.floor(2 * Q) + 1) // 2 for l in logs]
     A = IntegerSet(members)
     if A.k != k or h_type(A, h) != target:
         raise AssertionError("log-linear transport produced a wrong type; this is a bug")

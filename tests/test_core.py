@@ -55,6 +55,42 @@ def test_compositions_lex_order_and_counts():
     assert composition_count(10, 4) == 286
 
 
+def recursive_compositions(t: int, k: int) -> list[tuple[int, ...]]:
+    """enumerate_compositions as it was before it stopped recursing once
+    per coordinate; its enumeration copied verbatim."""
+    out: list[tuple[int, ...]] = []
+    vec = [0] * k
+
+    def fill(i: int, rem: int) -> None:
+        if i == k - 1:
+            vec[i] = rem
+            out.append(tuple(vec))
+            return
+        for c in range(rem + 1):
+            vec[i] = c
+            fill(i + 1, rem - c)
+
+    fill(0, t)
+    return out
+
+
+def test_compositions_match_recursive_oracle():
+    for t in range(0, 9):
+        for k in range(1, 9):
+            assert enumerate_compositions(t, k) == recursive_compositions(t, k), (t, k)
+    for t, k in [(20, 3), (12, 4), (1, 300), (3, 40), (0, 500)]:
+        assert enumerate_compositions(t, k) == recursive_compositions(t, k), (t, k)
+
+
+def test_compositions_of_many_coordinates():
+    # one coordinate per stack frame overflowed the recursion limit here
+    comps = enumerate_compositions(1, 2000)
+    assert len(comps) == 2000
+    assert comps[0] == (0,) * 1999 + (1,) and comps[-1] == (1,) + (0,) * 1999
+    assert comps == sorted(comps)
+    assert enumerate_compositions(0, 5000) == [(0,) * 5000]
+
+
 def test_compositions_cap(monkeypatch):
     monkeypatch.setattr(core, "DEFAULT_COMPOSITION_CAP", 1000)
     with pytest.raises(CapExceeded):
@@ -108,6 +144,19 @@ def test_integer_set_rejects_non_integral_values():
     A = IntegerSet([3.0, Fraction(6, 2), np.int64(5), True])
     assert A.elements == (1, 3, 5)
     assert all(type(x) is int for x in A.elements)
+
+
+@pytest.mark.parametrize("cls", [IntegerSet, RationalSet])
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), np.float64("inf")])
+def test_sets_reject_non_finite_values(cls, bad):
+    with pytest.raises(ValueError, match=f"^{cls.__name__} needs "):
+        cls([1, bad])
+
+
+def test_rational_set_rejects_bad_strings_and_takes_finite_floats():
+    with pytest.raises(ValueError, match="^RationalSet needs finite rational values"):
+        RationalSet(["1/2", "x"])
+    assert RationalSet([0.5, 2]).elements == (Fraction(1, 2), Fraction(2))
 
 
 def test_rational_set_parses_fractions():

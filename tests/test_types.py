@@ -57,6 +57,12 @@ def test_h_type_class_count_equals_sumset_size():
             assert h_type(A, h).class_count == fold_size(A.elements, h)
 
 
+def test_h_type_of_many_elements():
+    # enumerate_compositions once recursed per coordinate, so k ~ 1000
+    # overflowed the recursion limit
+    assert h_type(IntegerSet(range(1, 1500)), 1).class_count == 1499
+
+
 def test_h_type_affine_invariance():
     rng = random.Random(22)
     for _ in range(20):
@@ -140,6 +146,59 @@ def test_embed_two_elements():
     assert h_type(A, 3).class_count == 4
 
 
+# Oracle: embed_real_to_integers as it was when it rounded each Q*x
+# through _nearest_int, before both transports rounded by the floor of
+# 2*Q*x. Copied verbatim except for the names.
+
+
+def _oracle_nearest_int(v: Fraction) -> int:
+    # floor(v + 1/2); callers guarantee v is never exactly half-integral
+    return (2 * v.numerator + v.denominator) // (2 * v.denominator)
+
+
+def oracle_embed_real_to_integers(X, h: int):
+    if h < 1:
+        raise ValueError("h must be positive")
+    k = len(X.elements)
+    if k < 2:
+        raise ValueError("embedding needs at least two elements")
+    lo, hi = X.elements[0], X.elements[-1]
+    xs = [Fraction(x - lo, 1) / (hi - lo) for x in X.elements]
+
+    sep = separation(RationalSet(xs), h)
+    q0 = math.ceil(Fraction(2) / sep)
+    Q = _collision_dilation(xs[1:-1], lambda x, m: m * x.numerator // x.denominator, q0, h)
+
+    members = []
+    epsilons = []
+    for x in xs:
+        v = Q * x
+        a = _oracle_nearest_int(v)
+        members.append(a)
+        epsilons.append(v - a)
+    A = IntegerSet(members)
+    if A.k != k:
+        raise AssertionError("embedding collapsed two elements; q0 bound violated")
+    return A, types.EmbeddingTrace(q0, Q, tuple(epsilons), A)
+
+
+def test_embed_matches_nearest_int_oracle():
+    # 400 seeded sets: k = 2..5, h = 1..3, denominators up to 60, some
+    # integer sets and some of two elements
+    rng = random.Random(1049)
+    for i in range(400):
+        k = 2 if i % 10 == 0 else rng.randint(3, 5)
+        den = 1 if i % 7 == 0 else rng.randint(2, 60)
+        vals = set()
+        while len(vals) < k:
+            vals.add(Fraction(rng.randint(-200, 200), den if i % 3 else rng.randint(1, den)))
+        X, h = RationalSet(vals), rng.randint(1, 3)
+        A, trace = embed_real_to_integers(X, h)
+        B, oracle = oracle_embed_real_to_integers(X, h)
+        assert A == B and trace == oracle, (X, h)
+        assert trace.to_dict() == oracle.to_dict()
+
+
 def _smallest_passing_dilation_budget(monkeypatch, run, expected):
     """Lower DILATION_STEP_BUDGET from 1 until `run` stops raising
     CapExceeded; the first budget that passes must reproduce `expected`."""
@@ -214,7 +273,7 @@ def test_log_linear_floor_and_rational_path():
     assert x.is_rational and x.rat == 3
     y = LogLinear.log2_of(10)  # 1 + log2(5)
     assert y.floor() == 3
-    assert LogLinear.log2_of(3).scaled(100).floor() == 158  # 100*log2(3) = 158.49...
+    assert LogLinear.log2_of(3).floor(100) == 158  # 100*log2(3) = 158.49...
 
 
 def test_precision_exhausted_error(monkeypatch, capsys):
@@ -509,7 +568,7 @@ def test_log_linear_floor_matches_bit_length():
     cases += [(3**5000 + d, m) for d in (-2, -1, 0, 1, 2) for m in (1, 2, 3)]
     cases += [(2**61 - 1, 61), (2**100, 3), (7 * 5**2000, 2)]
     for n, m in cases:
-        assert LogLinear.log2_of(n).scaled(m).floor() == (n**m).bit_length() - 1, (n, m)
+        assert LogLinear.log2_of(n).floor(m) == (n**m).bit_length() - 1, (n, m)
 
 
 def _log2_to_400_bits(r) -> Fraction:
@@ -531,10 +590,10 @@ def test_log2_bounds_contain_the_logarithm_of_huge_integers():
             assert lo + Fraction(1, 1 << 300) < true < hi - Fraction(1, 1 << 300), (n, bits)
 
 
-def _bounds(value: LogLinear, bits: int) -> tuple[Fraction, Fraction]:
-    """The value's interval at `bits` as Fractions."""
-    lo, hi, d = value._interval(bits)
-    return Fraction(lo, d), Fraction(hi, d)
+def _bounds(value: LogLinear, bits: int, m: int = 1) -> tuple[Fraction, Fraction]:
+    """The interval of m*value at `bits` as Fractions."""
+    lo, hi, s = value._interval(bits, m)
+    return Fraction(lo, 1 << s), Fraction(hi, 1 << s)
 
 
 def test_log_linear_of_ratios_and_negative_scalings():
@@ -544,7 +603,7 @@ def test_log_linear_of_ratios_and_negative_scalings():
     assert not x.is_rational and (x.rat, x.num, x.den) == (-2, 15, 1)
     y = LogLinear.log2_of(Fraction(6, 20))  # log2(3/10) = -1 + log2(3/5)
     assert (y.rat, y.num, y.den) == (-1, 3, 5)
-    assert y.scaled(0).is_rational and y.scaled(0).floor() == 0
+    assert y.floor(0) == 0 and _bounds(y, 64, 0) == (0, 0)
     assert y.floor() == -2  # log2(0.3) = -1.73...
     with pytest.raises(ValueError):
         LogLinear.log2_of(0)
@@ -554,11 +613,11 @@ def test_log_linear_of_ratios_and_negative_scalings():
     assert lo < _log2_to_400_bits(Fraction(5, 3)) < hi
     z = LogLinear.log2_of(Fraction(1, 3))  # num = 1: still irrational
     assert not z.is_rational and z.floor() == -2
-    lo, hi = _bounds(LogLinear.log2_of(3).scaled(-1), 64)
+    lo, hi = _bounds(LogLinear.log2_of(3), 64, -1)
     assert lo < -_log2_to_400_bits(3) < hi
-    assert LogLinear.log2_of(3).scaled(-1).floor() == -2
-    assert LogLinear.log2_of(Fraction(5, 3)).scaled(-7).floor() == -6  # -5.16...
-    assert LogLinear.log2_of(Fraction(1, 3)).scaled(-2).sign_lower_bound() > 3
+    assert LogLinear.log2_of(3).floor(-1) == -2
+    assert LogLinear.log2_of(Fraction(5, 3)).floor(-7) == -6  # -5.16...
+    assert LogLinear(0, -2, 1, 3).sign_lower_bound() > 3  # -2*log2(1/3) = 3.17...
 
 
 # ---------------------------------------------------------------------------
@@ -628,11 +687,10 @@ class FractionLogLinear(LogLinear):
 
 
 def _log_linear_cases():
-    """20,000 seeded values rat + coeff*log2(num/den): num and den the odd
-    parts of integers up to 10**6 (both 1 for some: rational values),
-    integer scales in +-10**6 (often negative, some small), an eighth of
-    the coefficients non-integral, and rational offsets that include the
-    +-1/2 of the rounding step."""
+    """20,000 seeded values rat + coeff*log2(num/den) with integer fields:
+    num and den the odd parts of integers up to 10**6 (both 1 for some:
+    rational values), coefficients m in +-10**6 (often negative, some
+    small, some 0), and integer offsets up to 10**6."""
     rng = random.Random(1019)
     for i in range(20_000):
         if i % 50 == 0:
@@ -640,11 +698,7 @@ def _log_linear_cases():
         else:
             base = LogLinear.log2_of(Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)))
         m = rng.choice((-1, 1)) * rng.randint(0, 10 ** rng.randint(0, 6))
-        x = base.scaled(m)
-        coeff = x.coeff if i % 8 else Fraction(x.coeff, rng.randint(1, 999))
-        offset = rng.choice((Fraction(1, 2), Fraction(-1, 2),
-                             Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3))))
-        yield x.rat + offset, coeff, x.num, x.den
+        yield base.rat * m + rng.randint(-10**6, 10**6), base.coeff * m, base.num, base.den
 
 
 def _outcome(query):
@@ -659,8 +713,9 @@ def _floor_and_sign(value: LogLinear):
     """The floor, and the sign lower bound of the value or, when the floor
     is negative, of its negation (for a rational zero, ValueError)."""
     floor = _outcome(value.floor)
-    negative = isinstance(floor, tuple) and floor[1] < 0
-    return floor, _outcome((value.scaled(-1) if negative else value).sign_lower_bound)
+    if isinstance(floor, tuple) and floor[1] < 0:
+        value = type(value)(-value.rat, -value.coeff, value.num, value.den)
+    return floor, _outcome(value.sign_lower_bound)
 
 
 def test_integer_intervals_match_fraction_oracle(monkeypatch):
@@ -682,6 +737,43 @@ def test_integer_intervals_match_fraction_oracle(monkeypatch):
             assert outcomes[0] is PrecisionExhaustedError, fields
         signs_exhausted += outcomes[1] is PrecisionExhaustedError
     assert wide > 1000 and signs_exhausted > 100
+
+
+def test_floor_of_a_multiple_matches_fraction_oracle(monkeypatch):
+    # floor(m) against the oracle's floor of the value with rat and coeff
+    # multiplied by m, for negative, zero and huge m. m ~ 10**300 needs
+    # the 2048-bit logs, and m ~ 2**5000 outruns the schedule; logs that
+    # wide take milliseconds each, so fewer values get those scales
+    rng = random.Random(1039)
+    cases = list(_log_linear_cases())[::41]
+    assert sum(LogLinear(*fields).is_rational for fields in cases) >= 5
+    exhausted = 0
+    for i, (rat, coeff, num, den) in enumerate(cases):
+        fast = LogLinear(rat, coeff, num, den)
+        scales = [0, 1, -1, 2, -2, -(10**6), 10**30, rng.randint(-10**12, 10**12)]
+        if i % 20 == 0:
+            scales += [-(10**300), 2**5000]
+        for m in scales:
+            outcome = _outcome(lambda: fast.floor(m))
+            oracle = FractionLogLinear(rat * m, coeff * m, num, den)
+            assert outcome == _outcome(oracle.floor), (rat, coeff, num, den, m)
+            exhausted += outcome is PrecisionExhaustedError
+    assert exhausted >= 15
+    monkeypatch.setattr(types, "PRECISION_SCHEDULE", (2,))
+    for rat, coeff, num, den in cases[:200]:
+        fast = LogLinear(rat, coeff, num, den)
+        oracle = FractionLogLinear(-3 * rat, -3 * coeff, num, den)
+        assert _outcome(lambda: fast.floor(-3)) == _outcome(oracle.floor), (rat, coeff, num, den)
+
+
+def test_rounding_by_the_floor_of_twice_the_value():
+    # the transports round x to floor(x + 1/2) as (floor(2x) + 1) // 2;
+    # floor(x - 1/2) is (floor(2x) - 1) // 2 in the same way
+    for rat, coeff, num, den in _log_linear_cases():
+        twice = LogLinear(rat, coeff, num, den).floor(2)
+        for sign in (1, -1):
+            oracle = FractionLogLinear(rat + Fraction(sign, 2), coeff, num, den).floor()
+            assert (twice + sign) // 2 == oracle, (rat, coeff, num, den, sign)
 
 
 def test_log2_cache_stays_bounded():
@@ -783,7 +875,7 @@ def test_exact_q0_of_adjacent_large_elements():
     for n in (10**12, 10**18, 2**61 - 1):
         q0 = _q0([n, n + 1])
         gap = LogLinear.log2_of(Fraction(n + 1, n))
-        assert gap.scaled(q0).floor() >= 2 > gap.scaled(q0 - 1).floor(), n
+        assert gap.floor(q0) >= 2 > gap.floor(q0 - 1), n
         assert h_type(product_to_sum(IntegerSet([n, n + 1]), 1), 1).class_count == 2
 
 
