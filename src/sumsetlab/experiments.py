@@ -54,7 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CapExceeded, IntegerSet, binomial, enumerate_compositions
-from .lattice import _check_minima_args, find_minima
+from .lattice import _check_minima_args, _minima_values
+from .lattice import find_minima  # noqa: F401  unused; perfbench/spans.py wraps experiments.find_minima
 from .sumset import fold_size
 from .theory import popular_sizes
 from .types import h_type  # noqa: F401  unused; perfbench/spans.py wraps experiments.h_type
@@ -180,10 +181,15 @@ def _run_sharded(jobs, worker, workers: int) -> Counter:
     `workers`, the number of processes the jobs are spread over."""
     if workers < 1:
         raise ValueError("workers must be positive")
+    total: Counter = Counter()
     if workers == 1:
-        return sum(map(worker, jobs), Counter())
+        for part in map(worker, jobs):
+            total.update(part)
+        return total
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(worker, jobs), Counter())
+        for part in pool.map(worker, jobs):
+            total.update(part)
+    return total
 
 
 def random_subset_experiment(config: ExperimentConfig) -> tuple[Histogram, dict]:
@@ -261,8 +267,8 @@ def _minima_shard(args) -> Counter:
     n, k, seed, shard, count, cap, minima_count = args
     counts: Counter = Counter()
     for subset in _sample_subsets(_shard_rng(seed, shard), n, k, count):
-        report = find_minima(IntegerSet(subset), minima_count, max_cap=cap)
-        counts.update(enumerate(m // 2 for m in report.minima))
+        minima = _minima_values(IntegerSet(subset), minima_count, cap)
+        counts.update(enumerate(m // 2 for m in minima))
     return counts
 
 
@@ -278,11 +284,14 @@ def minima_statistics(
     """Distribution of the first lattice minima over random k-subsets.
 
     For each sampled subset the first `count` successive minima are
-    computed exactly (up to the even norm cap); a sample whose i-th
-    minimum exceeds the cap counts toward that minimum's truncation rate
-    and is excluded from its mean. The summary carries the full histogram
-    of h1 = lambda_1 / 2, and mean/stddev per minimum. The lattice needs
-    k >= 3, and the subsets n >= k.
+    computed exactly (up to the even norm cap). Only their values are
+    used: at k <= 4 they are the norms of the L1-reduced kernel basis, with
+    no lattice sweep, and at k >= 5 one sweep certifies them (see
+    lattice._minima_values). A sample whose i-th minimum exceeds the cap
+    counts toward that minimum's truncation rate and is excluded from its
+    mean. The summary carries the full histogram of h1 = lambda_1 / 2, and
+    mean/stddev per minimum. The lattice needs k >= 3, and the subsets
+    n >= k.
     """
     if not n >= k >= 3:
         raise ValueError("need n >= k >= 3")

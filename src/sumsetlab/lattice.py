@@ -34,8 +34,11 @@ in the L1 norm, greedily, by the step of Gauss reduction generalised to
 an arbitrary norm (Kaib & Schnorr, "The generalized Gauss reduction
 algorithm", J. Algorithms 21, 1996). Any `count` independent lattice
 vectors bound lambda_count by their largest norm, so one sweep at that
-bound certifies the minima, for every k. At k = 3 the bound is the one
-basis vector's norm, and at k = 4 it is exactly lambda_count.
+bound certifies the minima and their minimizers, for every k. At k = 3
+the bound is the one basis vector's norm, and at k = 4 it is exactly
+lambda_count. So at rank <= 2 the minima values come from the reduced
+basis alone, with no sweep (`_minima_values`); the minimizers, and the
+minima at k >= 5, still take that one sweep.
 """
 
 from __future__ import annotations
@@ -346,6 +349,15 @@ def _l1_reduce(rows) -> list[list[int]]:
     return rows
 
 
+def _reduced_norms(A: IntegerSet, count: int, max_cap: int) -> tuple[list[int], int]:
+    """The first `count` norms of the L1-reduced kernel basis, and the cap
+    one sweep needs: min(U, max_cap), with U the last of those norms.
+    count and max_cap are checked before anything is reduced."""
+    _check_minima_args(A.k, count, max_cap)
+    norms = [_l1(row) for row in _l1_reduce(coefficient_lattice_basis(A).rows)[:count]]
+    return norms, min(norms[-1], max_cap)
+
+
 def find_minima(A: IntegerSet, count: int, max_cap: int = 4096) -> MinimaReport:
     """successive_minima in one sweep, at a cap the reduced basis certifies.
 
@@ -358,7 +370,23 @@ def find_minima(A: IntegerSet, count: int, max_cap: int = 4096) -> MinimaReport:
     cap is the radius swept, which is max_cap when the report is
     truncated. count and max_cap are checked up front, as
     successive_minima checks count and cap.
+
+    The sweep is only needed for the minimizers, and for the minima at
+    k >= 5: at k <= 4 the reduced norms are the minima themselves, and
+    _minima_values returns them without a sweep.
     """
-    _check_minima_args(A.k, count, max_cap)
-    rows = _l1_reduce(coefficient_lattice_basis(A).rows)
-    return successive_minima(A, count, min(_l1(rows[count - 1]), max_cap))
+    return successive_minima(A, count, _reduced_norms(A, count, max_cap)[1])
+
+
+def _minima_values(A: IntegerSet, count: int, max_cap: int) -> tuple[int, ...]:
+    """find_minima(A, count, max_cap).minima, without its minimizers.
+
+    At rank <= 2 (k <= 4) the reduced norms are lambda_1, ..., lambda_count
+    (see _l1_reduce), so no sweep runs; they are sorted, and those above
+    max_cap are dropped, as a sweep at max_cap would not reach them. At
+    k >= 5 the minima come from find_minima's one sweep.
+    """
+    norms, cap = _reduced_norms(A, count, max_cap)
+    if A.k > 4:
+        return successive_minima(A, count, cap).minima
+    return tuple(m for m in norms if m <= max_cap)

@@ -477,6 +477,25 @@ def test_minima_statistics_matches_four_list_oracle(n, k, samples, seed, cap, wo
     assert truncated  # the cap cuts some samples off
 
 
+@pytest.mark.parametrize("count", [1, 2])
+def test_minima_statistics_matches_oracle_at_benchmark_shape(count):
+    # 10^4-element universe and cap 1024, where lambda_2 often lies above
+    # the cap; the oracle takes every minimum from find_minima's sweep
+    args = (10_000, 4, 300, 20250809, 1024)
+    assert minima_statistics(*args, count=count) == minima_statistics_oracle(*args, count)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_sharded_merges_like_a_counter_sum(workers):
+    jobs = [
+        (500, 4, 11, shard, per, 64, 2)
+        for shard, per in enumerate(experiments._shard_sizes(200, experiments.SHARD_COUNT))
+    ]
+    merged = experiments._run_sharded(jobs, experiments._minima_shard, workers)
+    summed = sum(map(experiments._minima_shard, jobs), Counter())
+    assert list(merged.items()) == list(summed.items())
+
+
 def test_minima_statistics_validation():
     for n, k in ((3, 4), (50, 2), (2, 2)):
         with pytest.raises(ValueError, match="need n >= k >= 3"):

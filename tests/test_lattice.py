@@ -507,18 +507,19 @@ def test_gauss_minima_are_the_swept_minima(elems):
     assert reduced_norms(coefficient_lattice_basis(A).rows) == rep.minima
 
 
-@pytest.mark.parametrize(
-    "A",
-    [
-        IntegerSet([0, 1, 3, 4]),  # minima (4, 6)
-        construct_lemma_set(2, 2),  # equal minima (4, 4)
-        construct_lemma_set(5, 5),  # equal minima (10, 10)
-        construct_lemma_set(3, 7),
-        IntegerSet([1, 5, 96, 100]),  # minima (4, 190): truncated below 190
-        IntegerSet([-10**6, -3, 17, 999_983]),
-    ],
-)
-@pytest.mark.parametrize("max_cap", [4, 8, 16, 64, 100, 256])
+NAMED_K4_SETS = [
+    IntegerSet([0, 1, 3, 4]),  # minima (4, 6)
+    construct_lemma_set(2, 2),  # equal minima (4, 4)
+    construct_lemma_set(5, 5),  # equal minima (10, 10)
+    construct_lemma_set(3, 7),
+    IntegerSet([1, 5, 96, 100]),  # minima (4, 190): truncated below 190
+    IntegerSet([-10**6, -3, 17, 999_983]),
+]
+NAMED_K4_CAPS = [4, 8, 16, 64, 100, 256]
+
+
+@pytest.mark.parametrize("A", NAMED_K4_SETS)
+@pytest.mark.parametrize("max_cap", NAMED_K4_CAPS)
 def test_k4_find_minima_matches_doubling_oracle_on_named_sets(A, max_cap):
     for count in (1, 2):
         assert_matches_doubling_oracle(A, count, max_cap)
@@ -543,20 +544,20 @@ def test_find_minima_matches_doubling_oracle_on_named_sets_of_every_k(A, max_cap
         assert_matches_doubling_oracle(A, count, max_cap)
 
 
-@pytest.mark.parametrize(
-    "elems, count, max_cap",
-    [
-        ((0, 1, 3), 1, 1024),
-        ((-50, 7, 100), 1, 64),  # the one vector has norm 250 > max_cap
-        ((4, 9, 31, 44, 60), 3, 512),
-        ((4, 9, 31, 44, 60), 2, 16),
-        ((0, 1, 2, 3, 4, 5), 2, 64),
-        ((0, 1, 2, 3, 4, 5), 4, 8),
-        ((1, 5, 96, 100), 2, 1024),  # k = 4 sweeps at lambda_2 = 190 itself
-        ((1, 5, 96, 100), 2, 64),  # lambda_2 = 190 > max_cap: truncated
-    ],
-)
-def test_find_minima_sweeps_once(monkeypatch, elems, count, max_cap):
+SWEEP_CASES = [
+    ((0, 1, 3), 1, 1024),
+    ((-50, 7, 100), 1, 64),  # the one vector has norm 250 > max_cap
+    ((4, 9, 31, 44, 60), 3, 512),
+    ((4, 9, 31, 44, 60), 2, 16),
+    ((0, 1, 2, 3, 4, 5), 2, 64),
+    ((0, 1, 2, 3, 4, 5), 4, 8),
+    ((1, 5, 96, 100), 2, 1024),  # k = 4 sweeps at lambda_2 = 190 itself
+    ((1, 5, 96, 100), 2, 64),  # lambda_2 = 190 > max_cap: truncated
+]
+
+
+def counted_sweeps(monkeypatch) -> list[int]:
+    """Patch lattice.successive_minima to record the cap of every sweep."""
     caps = []
     sweep = lattice.successive_minima
 
@@ -565,11 +566,41 @@ def test_find_minima_sweeps_once(monkeypatch, elems, count, max_cap):
         return sweep(A, count, cap)
 
     monkeypatch.setattr(lattice, "successive_minima", counted)
+    return caps
+
+
+@pytest.mark.parametrize("elems, count, max_cap", SWEEP_CASES)
+def test_find_minima_sweeps_once(monkeypatch, elems, count, max_cap):
+    caps = counted_sweeps(monkeypatch)
     A = IntegerSet(elems)
     rep = find_minima(A, count, max_cap)
     assert caps == [swept_cap(A, count, max_cap)]
     assert rep.cap == caps[0]
     assert_matches_doubling_oracle(A, count, max_cap)
+
+
+@settings(max_examples=300, deadline=None)
+@given(minima_cases())
+def test_minima_values_match_find_minima(case):
+    assert lattice._minima_values(*case) == find_minima(*case).minima
+
+
+@pytest.mark.parametrize("A", NAMED_K4_SETS + NAMED_SETS_OF_EVERY_K[:2])
+@pytest.mark.parametrize("max_cap", NAMED_K4_CAPS)
+def test_minima_values_match_find_minima_on_named_sets(A, max_cap):
+    for count in range(1, A.k - 1):
+        assert lattice._minima_values(A, count, max_cap) == find_minima(A, count, max_cap).minima
+
+
+@pytest.mark.parametrize("elems, count, max_cap", SWEEP_CASES)
+def test_minima_values_sweep_only_at_k_above_4(monkeypatch, elems, count, max_cap):
+    # rank <= 2 reads the minima off the reduced basis; rank >= 3 sweeps
+    # once, where find_minima does
+    A = IntegerSet(elems)
+    expected = find_minima(A, count, max_cap).minima
+    caps = counted_sweeps(monkeypatch)
+    assert lattice._minima_values(A, count, max_cap) == expected
+    assert caps == ([swept_cap(A, count, max_cap)] if A.k >= 5 else [])
 
 
 def test_gauss_minima_equal_minima_and_either_row_order():
@@ -621,6 +652,8 @@ def test_find_minima_rejects_bad_arguments_before_reducing(monkeypatch, elems, c
     monkeypatch.setattr(lattice, "_l1_reduce", no_reduction)
     with pytest.raises(ValueError, match=message):
         find_minima(IntegerSet(elems), count, max_cap)
+    with pytest.raises(ValueError, match=message):
+        lattice._minima_values(IntegerSet(elems), count, max_cap)
     # the message successive_minima gives for the same count and cap
     with pytest.raises(ValueError, match=message):
         successive_minima(IntegerSet(elems), count, max_cap)
