@@ -85,22 +85,21 @@ def _indented(value, indent: str) -> str:
 
 
 def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:
-    fmt = getattr(args, "format", "json")
-    if fmt == "csv":
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         if csv_header:
             writer.writerow(csv_header)
         writer.writerows(csv_rows)
         text = buf.getvalue()
-    elif fmt == "text":
+    elif args.format == "text":
         lines = []
         for key, value in payload.items():
             lines.append(f"{key}: {json.dumps(value, sort_keys=True)}")
         text = "\n".join(lines) + "\n"
     else:
         text = _indented(payload, "\n") + "\n"
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
@@ -121,40 +120,64 @@ _int_set = _set_type(IntegerSet)
 _rat_set = _set_type(RationalSet)
 
 
-def _even_cap(text: str) -> int:
-    """argparse type for --cap and --max-cap: an even integer >= 4, else a
-    usage error."""
-    try:
-        cap = int(text)
-    except ValueError:
-        cap = 0
-    if cap < 4 or cap % 2:
-        raise argparse.ArgumentTypeError(f"cap must be an even integer >= 4, got {text!r}")
-    return cap
-
-
-def _int_at_least(minimum: int, kind: str):
-    """argparse type: an integer >= minimum, else a usage error."""
+def _checked_int(minimum: int, rule: str, step: int = 1):
+    """argparse type: an integer >= minimum and a multiple of step, else a
+    usage error stating the rule."""
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = minimum - 1
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}")
+        if value < minimum or value % step:
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
         return value
     return parse
 
 
-_positive_int = _int_at_least(1, "positive")  # --workers
-_nonnegative_int = _int_at_least(0, "nonnegative")  # --seed
+_even_cap = _checked_int(4, "cap must be an even integer >= 4", step=2)  # --cap, --max-cap
+_positive_int = _checked_int(1, "must be a positive integer")  # --workers
+_nonnegative_int = _checked_int(0, "must be a nonnegative integer")  # --seed
 
 
-def _add_common(p: argparse.ArgumentParser, has_csv: bool = False) -> None:
-    """--format (csv only for subcommands with a CSV form) and --out."""
-    formats = ("json", "csv", "text") if has_csv else ("json", "text")
-    p.add_argument("--format", choices=formats, default="json")
+def _arg(flag: str, type=int, **kwargs):
+    """One option spec for _command: typed, and required unless it has a
+    default. A flag (an `action`) takes neither."""
+    if "action" not in kwargs:
+        kwargs.update(type=type, required="default" not in kwargs)
+    return lambda p: p.add_argument(flag, **kwargs)
+
+
+# The options more than one subcommand takes.
+_SET = _arg("--set", _int_set)
+_RAT_SET = _arg("--set", _rat_set)
+_H = _arg("--h")
+_K = _arg("--k")
+_N = _arg("--n")
+_SAMPLES = _arg("--samples")
+_SEED = _arg("--seed", _nonnegative_int, default=0)
+_CAP = _arg("--cap", _even_cap)
+_COUNT = _arg("--count", default=1)
+_B = _arg("--b")
+
+
+def _verify_source(p: argparse.ArgumentParser) -> None:
+    """theory verify reads exactly one of --set and --file."""
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--set", type=_int_set)
+    source.add_argument("--file", help="path with one comma-separated set per line")
+
+
+def _command(sub, name: str, help: str, handler, *args, csv: bool = False):
+    """Add subcommand `name`: its options, --format (csv only for
+    subcommands with a CSV form), --out and its handler."""
+    p = sub.add_parser(name, help=help)
+    for add in args:
+        add(p)
+    p.add_argument("--format", choices=("json", "csv", "text") if csv else ("json", "text"),
+                   default="json")
     p.add_argument("--out", help="write the report to this path instead of stdout")
+    p.set_defaults(func=handler)
+    return p
 
 
 def _cmd_sumset_compute(args) -> None:
@@ -318,128 +341,54 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top = parser.add_subparsers(dest="group", required=True)
 
-    g = top.add_parser("sumset", help="h-fold sumsets and size profiles")
-    sub = g.add_subparsers(dest="cmd", required=True)
-    p = sub.add_parser("compute", help="the set hA")
-    p.add_argument("--set", type=_int_set, required=True)
-    p.add_argument("--h", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_sumset_compute)
-    p = sub.add_parser("profile", help="sizes, deficits, and first differences for h=1..H")
-    p.add_argument("--set", type=_int_set, required=True)
-    p.add_argument("--horizon", type=int, required=True)
-    _add_common(p, has_csv=True)
-    p.set_defaults(func=_cmd_sumset_profile)
+    def group(name: str, help: str):
+        return top.add_parser(name, help=help).add_subparsers(dest="cmd", required=True)
 
-    g = top.add_parser("lattice", help="coefficient lattice of a set")
-    sub = g.add_subparsers(dest="cmd", required=True)
-    p = sub.add_parser("basis", help="integer kernel basis")
-    p.add_argument("--set", type=_int_set, required=True)
-    _add_common(p, has_csv=True)
-    p.set_defaults(func=_cmd_lattice_basis)
-    p = sub.add_parser("minima", help="successive L1 minima and minimizers")
-    p.add_argument("--set", type=_int_set, required=True)
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--cap", type=_even_cap, required=True)
-    _add_common(p, has_csv=True)
-    p.set_defaults(func=_cmd_lattice_minima)
+    sub = group("sumset", "h-fold sumsets and size profiles")
+    _command(sub, "compute", "the set hA", _cmd_sumset_compute, _SET, _H)
+    _command(sub, "profile", "sizes, deficits, and first differences for h=1..H",
+             _cmd_sumset_profile, _SET, _arg("--horizon"), csv=True)
 
-    g = top.add_parser("theory", help="size predictions, verification, constructions")
-    sub = g.add_subparsers(dest="cmd", required=True)
-    p = sub.add_parser("predict", help="closed-form |hA| from (k, h1)")
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--h1", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_theory_predict)
-    p = sub.add_parser("verify", help="brute force vs prediction below the second minimum")
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--set", type=_int_set)
-    source.add_argument("--file", help="path with one comma-separated set per line")
-    p.add_argument("--max-cap", type=_even_cap, default=4096)
-    _add_common(p)
-    p.set_defaults(func=_cmd_theory_verify)
-    p = sub.add_parser("construct-lemma", help="set with prescribed minima (2a, 2b)")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--k", type=int, default=4)
-    _add_common(p)
-    p.set_defaults(func=_cmd_theory_lemma)
-    p = sub.add_parser("construct-cute", help="set with |hA| = 2(h^2+1) up to h = b")
-    p.add_argument("--b", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_theory_cute)
-    p = sub.add_parser("extremes", help="min, max, and realizable sizes with witnesses")
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_common(p, has_csv=True)
-    p.set_defaults(func=_cmd_theory_extremes)
+    sub = group("lattice", "coefficient lattice of a set")
+    _command(sub, "basis", "integer kernel basis", _cmd_lattice_basis, _SET, csv=True)
+    _command(sub, "minima", "successive L1 minima and minimizers", _cmd_lattice_minima,
+             _SET, _COUNT, _CAP, csv=True)
 
-    g = top.add_parser("types", help="addition-table types and transport")
-    sub = g.add_subparsers(dest="cmd", required=True)
-    p = sub.add_parser("type", help="canonical h-type partition")
-    p.add_argument("--set", type=_rat_set, required=True)
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--product", action="store_true", help="partition by products instead of sums")
-    _add_common(p)
-    p.set_defaults(func=_cmd_types_type, usage_error=p.error)
-    p = sub.add_parser("separation", help="smallest gap between distinct h-fold sums")
-    p.add_argument("--set", type=_rat_set, required=True)
-    p.add_argument("--h", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_types_separation)
-    p = sub.add_parser("embed", help="integer set with the same h-type as a rational set")
-    p.add_argument("--set", type=_rat_set, required=True)
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--positive", action="store_true",
-                   help="translate the result by +1 so all elements are positive")
-    _add_common(p)
-    p.set_defaults(func=_cmd_types_embed)
-    p = sub.add_parser("to-product", help="s -> 2**s type transport")
-    p.add_argument("--set", type=_int_set, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_types_to_product)
-    p = sub.add_parser("to-sum", help="integer set with the h-type of a product table")
-    p.add_argument("--set", type=_int_set, required=True)
-    p.add_argument("--h", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_types_to_sum)
+    sub = group("theory", "size predictions, verification, constructions")
+    _command(sub, "predict", "closed-form |hA| from (k, h1)", _cmd_theory_predict,
+             _H, _K, _arg("--h1"))
+    _command(sub, "verify", "brute force vs prediction below the second minimum",
+             _cmd_theory_verify, _verify_source, _arg("--max-cap", _even_cap, default=4096))
+    _command(sub, "construct-lemma", "set with prescribed minima (2a, 2b)", _cmd_theory_lemma,
+             _arg("--a"), _B, _arg("--k", default=4))
+    _command(sub, "construct-cute", "set with |hA| = 2(h^2+1) up to h = b", _cmd_theory_cute, _B)
+    _command(sub, "extremes", "min, max, and realizable sizes with witnesses",
+             _cmd_theory_extremes, _H, _K, csv=True)
 
-    workers = _default_workers()
-    g = top.add_parser("experiment", help="seeded sampling and exhaustive scans")
-    sub = g.add_subparsers(dest="cmd", required=True)
-    p = sub.add_parser("random", help="|hA| histogram over random k-subsets of [n]")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--workers", type=_positive_int, default=workers)
-    _add_common(p, has_csv=True)
-    p.set_defaults(func=_cmd_exp_random)
-    p = sub.add_parser("scan", help="|hA| histogram over all k-subsets of [n]")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--workers", type=_positive_int, default=workers)
-    _add_common(p, has_csv=True)
-    p.set_defaults(func=_cmd_exp_scan)
-    p = sub.add_parser("minima-stats", help="first-minima statistics over random subsets")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--cap", type=_even_cap, required=True)
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--workers", type=_positive_int, default=workers)
-    _add_common(p, has_csv=True)
-    p.set_defaults(func=_cmd_exp_minima)
-    p = sub.add_parser("type-census", help="distinct h-types over all k-subsets of [n]")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--h", type=int, required=True)
-    _add_common(p, has_csv=True)
-    p.set_defaults(func=_cmd_exp_census)
+    sub = group("types", "addition-table types and transport")
+    p = _command(sub, "type", "canonical h-type partition", _cmd_types_type, _RAT_SET, _H,
+                 _arg("--product", action="store_true",
+                      help="partition by products instead of sums"))
+    p.set_defaults(usage_error=p.error)
+    _command(sub, "separation", "smallest gap between distinct h-fold sums",
+             _cmd_types_separation, _RAT_SET, _H)
+    _command(sub, "embed", "integer set with the same h-type as a rational set", _cmd_types_embed,
+             _RAT_SET, _H, _arg("--positive", action="store_true",
+                                help="translate the result by +1 so all elements are positive"))
+    _command(sub, "to-product", "s -> 2**s type transport", _cmd_types_to_product, _SET)
+    _command(sub, "to-sum", "integer set with the h-type of a product table", _cmd_types_to_sum,
+             _SET, _H)
+
+    workers = _arg("--workers", _positive_int, default=_default_workers())
+    sub = group("experiment", "seeded sampling and exhaustive scans")
+    _command(sub, "random", "|hA| histogram over random k-subsets of [n]", _cmd_exp_random,
+             _N, _K, _H, _SAMPLES, _SEED, workers, csv=True)
+    _command(sub, "scan", "|hA| histogram over all k-subsets of [n]", _cmd_exp_scan,
+             _N, _K, _H, workers, csv=True)
+    _command(sub, "minima-stats", "first-minima statistics over random subsets", _cmd_exp_minima,
+             _N, _K, _SAMPLES, _SEED, _CAP, _COUNT, workers, csv=True)
+    _command(sub, "type-census", "distinct h-types over all k-subsets of [n]", _cmd_exp_census,
+             _N, _K, _H, csv=True)
 
     return parser
 

@@ -1,5 +1,9 @@
+import argparse
+import csv
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from collections import Counter
@@ -11,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sumsetlab
-from sumsetlab.cli import _indented, main
+from sumsetlab.cli import _indented, build_parser, main
 
 
 def run_cli(capsys, argv):
@@ -53,6 +57,84 @@ README_JSON_EXAMPLES = [
      "--seed", "7", "--cap", "1024"],
     ["experiment", "type-census", "--n", "8", "--k", "4", "--h", "2"],
 ]
+
+
+def _subcommands():
+    """{(group, cmd): parser} for every subcommand build_parser() declares."""
+    def choices(parser):
+        (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    return {(group, cmd): p
+            for group, g in choices(build_parser()).items() for cmd, p in choices(g).items()}
+
+
+def _option(parser, flag):
+    return next((a for a in parser._actions if flag in a.option_strings), None)
+
+
+SUBCOMMANDS = _subcommands()
+# The first README example of each subcommand: small inputs that exit 0.
+SMALL_ARGVS = {}
+for _argv in README_JSON_EXAMPLES:
+    SMALL_ARGVS.setdefault(tuple(_argv[:2]), _argv)
+CSV_COMMANDS = {
+    ("sumset", "profile"), ("lattice", "basis"), ("lattice", "minima"), ("theory", "extremes"),
+    ("experiment", "random"), ("experiment", "scan"), ("experiment", "minima-stats"),
+    ("experiment", "type-census"),
+}
+SET_COMMANDS = sorted(name for name, p in SUBCOMMANDS.items() if _option(p, "--set"))
+
+
+def test_parser_contract():
+    assert len(SUBCOMMANDS) == 18
+    assert {name for name, p in SUBCOMMANDS.items()
+            if "csv" in _option(p, "--format").choices} == CSV_COMMANDS
+    assert len(SET_COMMANDS) == 10
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMANDS), ids=" ".join)
+def test_csv_format_only_where_offered(name, capsys):
+    argv = SMALL_ARGVS[name] + ["--format", "csv"]
+    if name not in CSV_COMMANDS:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
+        return
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0 and err == ""
+    rows = list(csv.reader(io.StringIO(out, newline="")))
+    assert rows and all(len(row) >= 2 for row in rows)
+    rewritten = io.StringIO()
+    csv.writer(rewritten).writerows(rows)
+    assert rewritten.getvalue() == out
+
+
+@pytest.mark.parametrize("name", SET_COMMANDS, ids=" ".join)
+def test_malformed_set_is_usage_error_everywhere(name, capsys):
+    argv = list(SMALL_ARGVS[name])
+    argv[argv.index("--set") + 1] = "1,x"
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--set" in capsys.readouterr().err
+
+
+def _readme_cli_block():
+    """The `sumsetlab ...` lines of the README's CLI code block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("sumsetlab ")]
+
+
+def test_readme_cli_examples_parse():
+    lines = _readme_cli_block()
+    assert len(lines) == 20
+    parser = build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line, comments=True)[1:])
+        assert callable(args.func), line
 
 
 def test_json_round_trip_identity(tmp_path, capsys):
@@ -372,6 +454,23 @@ def test_negative_seed_is_usage_error(argv, seed, capsys):
 
 
 @pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--cap", "9", "argument --cap: cap must be an even integer >= 4, got '9'"),
+        ("--workers", "0", "argument --workers: must be a positive integer, got '0'"),
+        ("--seed", "-1", "argument --seed: must be a nonnegative integer, got '-1'"),
+    ],
+)
+def test_integer_option_messages(option, value, message, capsys):
+    argv = ["experiment", "minima-stats", "--n", "50", "--k", "4", "--samples", "3",
+            "--cap", "64"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"{option}={value}"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["experiment", "random", "--k", "4", "--h", "3", "--samples", "10"],
@@ -422,16 +521,6 @@ def test_python_dash_m_runs_the_cli(capsys):
     proc = _module_run(["sumset", "compute", "--set", "1,x", "--h", "2"])
     assert proc.returncode == 2
     assert b"--set" in proc.stderr
-
-
-def test_csv_unavailable_is_reported(capsys):
-    # only subcommands with a CSV form offer it; asking elsewhere is a usage error
-    for argv in (["theory", "predict", "--h", "3", "--k", "4", "--h1", "4"],
-                 ["sumset", "compute", "--set", "0,1", "--h", "2"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--format", "csv"])
-        assert exc.value.code == 2
-        assert "invalid choice: 'csv'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
