@@ -23,11 +23,15 @@ last two coordinates are solved exactly from the two linear constraints.
 The congruence is the condition that c_{k-1} come out integral: it is
 taken modulo det = a_k - a_{k-1}, and its solutions form at most one
 residue class modulo m = det / g, where g depends on A only, so c_{k-2}
-advances in steps of m instead of 1. The enumeration emits one canonical
-representative per {v, -v} pair (first nonzero coordinate positive). A
-completed sweep up to norm `cap` proves there is no undiscovered vector
-of norm <= cap, which is what makes the reported minima exact rather
-than best-found.
+advances in steps of m instead of 1. Every coordinate is bounded by the
+L1 ball itself: a scanned one by what the coordinates after it must sum
+to, and the last three by a box that holds exactly when their norm fits
+the budget, so the class is walked only between its first and last
+vector in the ball, and every step emits. The enumeration emits one
+canonical representative per {v, -v} pair (first nonzero coordinate
+positive). A completed sweep up to norm `cap` proves there is no
+undiscovered vector of norm <= cap, which is what makes the reported
+minima exact rather than best-found.
 
 What remains is choosing the cap. `find_minima` reduces the kernel basis
 in the L1 norm, greedily, by the step of Gauss reduction generalised to
@@ -189,10 +193,31 @@ def lattice_shells(A: IntegerSet, cap: int) -> dict[int, list[tuple[int, ...]]]:
     and c_k = -s - c - c_{k-1}. So c_{k-1} is integral exactly when
     (a_{k-2} - a_k) c = a_k s - d (mod det). With g the gcd of
     a_{k-2} - a_k and det, that congruence has no solution unless g divides
-    d - a_k s, and otherwise fixes c modulo m = det / g; c then steps over
-    that residue class in steps of m, and c_{k-1} and c_k in fixed steps.
-    c_{k-3}, the last scanned coordinate, is looped over in the same frame
-    as that step, so each of its values costs no call.
+    d - a_k s, and otherwise fixes c modulo m = det / g. Along that residue
+    class c steps by m > 0, c_{k-1} by q = (a_{k-2} - a_k) / g < 0 and c_k
+    by w = (a_{k-1} - a_{k-2}) / g > 0.
+
+    Two exact bounds keep the sweep on the vectors it emits:
+
+    - Scanned coordinates. With s the sum of the coordinates before a
+      scanned x and budget the norm they leave, the coordinates from x on
+      sum to -s, so x can be completed only if |x| + |s + x| <= budget,
+      that is -floor((budget + s) / 2) <= x <= floor((budget - s) / 2).
+      The interval is right because |s| <= budget at every level: s = 0 at
+      the root, and the bound keeps it for each child.
+    - The last three. Three integers y_1, y_2, y_3 with sum S have
+      |y_1| + |y_2| + |y_3| = max(|S|, |S - 2y_1|, |S - 2y_2|, |S - 2y_3|).
+      With S = -s - x the sum of c, c_{k-1} and c_k, and rest the norm left
+      for them, |S| <= rest by the invariant, so their norm is at most rest
+      exactly when each lies in the box
+      ceil((S - rest) / 2) <= y <= floor((S + rest) / 2). Each box bounds
+      the step index along the residue class by one floor division, and the
+      steps between the tightest bounds are exactly the vectors in the ball.
+
+    Only nodes that emit nothing are skipped, and vectors come out in the
+    order of a scan of every c of the class. c_{k-3}, the last scanned
+    coordinate, is looped over in the same frame as that step, so each of
+    its values costs no call.
     """
     if A.k < 3:
         raise ValueError("coefficient lattice is trivial for k < 3")
@@ -209,16 +234,16 @@ def lattice_shells(A: IntegerSet, cap: int) -> dict[int, list[tuple[int, ...]]]:
     g = gcd(u, det)
     m = det // g
     inv = pow(u // g, -1, m)
-    step_m1, step_k = slope // g, -(m + slope // g)
+    nq, w = -slope // g, (a[-2] - a[-3]) // g  # nq = -q > 0: c_{k-1} steps by -nq
     shells: dict[int, list[tuple[int, ...]]] = {}
     prefix = [0] * (k - 3)
     last = k - 4  # index of c_{k-3}, the last scanned coordinate; -1 at k = 3
 
     def assign(i: int, budget: int, leading: bool, s: int, d: int) -> None:
-        lo = 0 if leading else -budget
+        xs = range(0 if leading else -((budget + s) // 2), (budget - s) // 2 + 1)
         if i < last:
             ai = a[i]
-            for x in range(lo, budget + 1):
+            for x in xs:
                 prefix[i] = x
                 assign(i + 1, budget - abs(x), leading and x == 0, s + x, d + ai * x)
             prefix[i] = 0
@@ -226,32 +251,36 @@ def lattice_shells(A: IntegerSet, cap: int) -> dict[int, list[tuple[int, ...]]]:
         # x = c_{k-3}. k = 3 scans nothing: the loop runs once with x = 0 of
         # weight 0, and the slice below drops it from the head.
         if i == last:
-            ai, xs, pre = a[i], range(lo, budget + 1), tuple(prefix[:i])
+            ai, pre = a[i], tuple(prefix[:i])
         else:
             ai, xs, pre = 0, (0,), ()
-        r0, w = d - ak * s, ai - ak
+        r0, wx = d - ak * s, ai - ak
         for x in xs:
-            r = r0 + w * x
+            r = r0 + wx * x
             if r % g:
                 continue
             rest = budget - abs(x)
-            lo_c = 0 if leading and x == 0 else -rest
+            S = -s - x
+            ylo, yhi = -((rest - S) // 2), (S + rest) // 2
+            lo_c = 0 if leading and x == 0 else ylo
             c = lo_c + (inv * (-r // g) - lo_c) % m
-            if c > rest:
+            cm1 = (r + slope * c) // det
+            ck = S - c - cm1
+            # step t takes c to c + m t, c_{k-1} to cm1 - nq t, c_k to ck + w t
+            t0 = max(0, -((yhi - cm1) // nq), -((ck - ylo) // w))
+            t1 = min((yhi - c) // m, (cm1 - ylo) // nq, (yhi - ck) // w)
+            if t0 > t1:
                 continue
             head = (*pre, x)[: k - 3]
             used = cap - rest
-            # c steps by m, so c_{k-1} steps by slope * m / det = slope / g
-            cm1 = (r + slope * c) // det
-            ck = -s - x - c - cm1
-            for c in range(c, rest + 1, m):
-                tail = abs(c) + abs(cm1) + abs(ck)
-                if tail <= rest:
-                    norm = used + tail
-                    if norm:
-                        shells.setdefault(norm, []).append(head + (c, cm1, ck))
-                cm1 += step_m1
-                ck += step_k
+            cm1 -= nq * t0
+            ck += w * t0
+            for c in range(c + m * t0, c + m * t1 + 1, m):
+                norm = used + abs(c) + abs(cm1) + abs(ck)
+                if norm:
+                    shells.setdefault(norm, []).append(head + (c, cm1, ck))
+                cm1 -= nq
+                ck += w
 
     assign(0, cap, True, 0, 0)
     return shells

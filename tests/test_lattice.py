@@ -459,6 +459,48 @@ def test_shells_congruence_edge_cases(elems, cap):
     assert shells  # each case has vectors within its cap
 
 
+# (count, k, elements, max_cap): the sets and caps find_minima sweeps. The
+# first three are the workload shapes: theorem k = 4 and k = 5, minstat k = 4.
+SWEPT_SHAPES = [
+    pytest.param(2, 4, range(1, 201), 4096, id="theorem-k4"),
+    pytest.param(1, 4, range(1, 10_001), 1024, id="minstat-k4"),
+    pytest.param(2, 5, range(1, 101), 4096, id="theorem-k5"),
+    pytest.param(2, 4, range(-10_000, 10_001), 4096, id="k4-signed"),
+    pytest.param(2, 5, range(-100, 101), 4096, id="k5-signed"),
+    pytest.param(1, 3, range(-300, 301), 4096, id="k3-signed"),
+    pytest.param(3, 6, range(-40, 41), 40, id="k6-signed"),
+    pytest.param(1, 6, range(-10_000, 10_001), 20, id="k6-wide"),
+]
+
+
+@pytest.mark.parametrize("count, k, elements, max_cap", SWEPT_SHAPES)
+def test_shells_match_order_oracle_at_swept_caps(count, k, elements, max_cap):
+    # the box bounds against the oracle that steps every c of the class,
+    # at the one cap find_minima sweeps: same keys, same lists, same order
+    rng = random.Random(f"{count}:{k}:{elements}")
+    emitted = 0
+    for _ in range(200):
+        A = IntegerSet(rng.sample(elements, k))
+        cap = swept_cap(A, count, max_cap)
+        items = list(lattice_shells(A, cap).items())
+        assert items == list(recursive_shells(A, cap).items()), (A, cap)
+        emitted += sum(len(vecs) for _, vecs in items)
+    assert emitted > 100  # not a corpus of empty sweeps
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(-60, 60), st.integers(-60, 60), st.integers(-60, 60), st.integers(0, 200))
+def test_three_term_norm_identity(y1, y2, y3, rest):
+    # |y1| + |y2| + |y3| = max(|S|, |S - 2 y_i|) for S = y1 + y2 + y3; so
+    # when |S| <= rest the norm is at most rest exactly when every y_i lies
+    # in the box lattice_shells steps through
+    S = y1 + y2 + y3
+    assert abs(y1) + abs(y2) + abs(y3) == max(abs(S), *(abs(S - 2 * y) for y in (y1, y2, y3)))
+    if abs(S) <= rest:
+        box = range(-((rest - S) // 2), (S + rest) // 2 + 1)
+        assert (abs(y1) + abs(y2) + abs(y3) <= rest) == all(y in box for y in (y1, y2, y3))
+
+
 @st.composite
 def small_lattice_cases(draw):
     k = draw(st.integers(3, 5))
