@@ -24,14 +24,11 @@ _WORKERS_ENV = "SUMSETLAB_WORKERS"
 def _default_workers() -> int:
     raw = os.environ.get(_WORKERS_ENV, "1")
     try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
+        return _positive_int(raw)
+    except argparse.ArgumentTypeError:
         print(f"warning: {_WORKERS_ENV}={raw!r} is not a positive integer; using 1 worker",
               file=sys.stderr)
         return 1
-    return workers
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -210,13 +207,9 @@ def _cmd_theory_predict(args) -> None:
     _emit(args, {"h": args.h, "k": args.k, "h1": args.h1, "predicted_size": size})
 
 
-def _verify_one(A: IntegerSet, max_cap: int) -> dict:
-    return theory.verify_main_theorem(A, max_cap=max_cap).to_dict()
-
-
 def _cmd_theory_verify(args) -> None:
     if args.set:
-        _emit(args, _verify_one(args.set, args.max_cap))
+        _emit(args, theory.verify_main_theorem(args.set, max_cap=args.max_cap).to_dict())
         return
     reports = []
     with open(args.file) as fh:
@@ -224,7 +217,8 @@ def _cmd_theory_verify(args) -> None:
             line = line.strip()
             if line:
                 try:
-                    reports.append(_verify_one(IntegerSet.from_text(line), args.max_cap))
+                    A = IntegerSet.from_text(line)
+                    reports.append(theory.verify_main_theorem(A, max_cap=args.max_cap).to_dict())
                 except (ValueError, RuntimeError) as exc:
                     exc.args = (f"{args.file} line {number}: {exc}",)
                     raise

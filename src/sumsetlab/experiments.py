@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CapExceeded, IntegerSet, binomial, enumerate_compositions
+from .core import CapExceeded, IntegerSet, binomial, composition_count, enumerate_compositions
 from .lattice import _check_minima_args, _minima_values
 from .lattice import find_minima  # noqa: F401  unused; perfbench/spans.py wraps experiments.find_minima
 from .sumset import fold_size
@@ -209,7 +209,7 @@ def random_subset_experiment(config: ExperimentConfig) -> tuple[Histogram, dict]
         ]
         hist = Histogram(dict(_run_sharded(jobs, _random_shard, config.workers)), config.samples)
 
-    M = binomial(config.h + config.k - 1, config.k - 1)
+    M = composition_count(config.h, config.k)
     popular = popular_sizes(config.h, config.k)
     bh_count = hist.counts.get(M, 0)
     non_bh = hist.total - bh_count
@@ -218,7 +218,7 @@ def random_subset_experiment(config: ExperimentConfig) -> tuple[Histogram, dict]
         "config": config.to_dict(),
         "max_size": M,
         "bh_count": bh_count,
-        "bh_fraction": bh_count / hist.total if hist.total else None,
+        "bh_fraction": bh_count / hist.total,
         "non_bh_count": non_bh,
         "popular_sizes": popular,
         "popular_fraction": popular_hits / non_bh if non_bh else None,

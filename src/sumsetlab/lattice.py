@@ -378,13 +378,10 @@ def _l1_reduce(rows) -> list[list[int]]:
     return rows
 
 
-def _reduced_norms(A: IntegerSet, count: int, max_cap: int) -> tuple[list[int], int]:
-    """The first `count` norms of the L1-reduced kernel basis, and the cap
-    one sweep needs: min(U, max_cap), with U the last of those norms.
-    count and max_cap are checked before anything is reduced."""
-    _check_minima_args(A.k, count, max_cap)
-    norms = [_l1(row) for row in _l1_reduce(coefficient_lattice_basis(A).rows)[:count]]
-    return norms, min(norms[-1], max_cap)
+def _reduced_norms(A: IntegerSet, count: int) -> list[int]:
+    """The norms of the first `count` rows of the L1-reduced kernel basis
+    (see _l1_reduce), ascending. The caller checks k and count first."""
+    return [_l1(row) for row in _l1_reduce(_difference_kernel(A.elements))[:count]]
 
 
 def find_minima(A: IntegerSet, count: int, max_cap: int = 4096) -> MinimaReport:
@@ -404,18 +401,19 @@ def find_minima(A: IntegerSet, count: int, max_cap: int = 4096) -> MinimaReport:
     k >= 5: at k <= 4 the reduced norms are the minima themselves, and
     _minima_values returns them without a sweep.
     """
-    return successive_minima(A, count, _reduced_norms(A, count, max_cap)[1])
+    _check_minima_args(A.k, count, max_cap)
+    return successive_minima(A, count, min(_reduced_norms(A, count)[-1], max_cap))
 
 
 def _minima_values(A: IntegerSet, count: int, max_cap: int) -> tuple[int, ...]:
     """find_minima(A, count, max_cap).minima, without its minimizers.
 
-    At rank <= 2 (k <= 4) the reduced norms are lambda_1, ..., lambda_count
-    (see _l1_reduce), so no sweep runs; they are sorted, and those above
-    max_cap are dropped, as a sweep at max_cap would not reach them. At
-    k >= 5 the minima come from find_minima's one sweep.
+    At k >= 5 that is what it returns. At rank <= 2 (k <= 4) the reduced
+    norms are lambda_1, ..., lambda_count (see _l1_reduce), so no sweep
+    runs; those above max_cap are dropped, as a sweep at max_cap would not
+    reach them.
     """
-    norms, cap = _reduced_norms(A, count, max_cap)
     if A.k > 4:
-        return successive_minima(A, count, cap).minima
-    return tuple(m for m in norms if m <= max_cap)
+        return find_minima(A, count, max_cap).minima
+    _check_minima_args(A.k, count, max_cap)
+    return tuple(m for m in _reduced_norms(A, count) if m <= max_cap)

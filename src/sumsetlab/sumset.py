@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CapExceeded, IntegerSet, binomial, normalize
+from .core import CapExceeded, IntegerSet, composition_count, normalize
 
 DEFAULT_SIZE_CAP = 100_000_000
 
@@ -185,7 +185,7 @@ def sumset_profile(A: IntegerSet, horizon: int) -> SumsetProfile:
         raise ValueError("profile requires at least two elements")
     k = A.k
     sizes = tuple(fold_sizes(A.elements, horizon))
-    deficits = tuple(binomial(h + k - 1, k - 1) - sizes[h - 1] for h in range(1, horizon + 1))
+    deficits = tuple(composition_count(h, k) - sizes[h - 1] for h in range(1, horizon + 1))
     diffs = tuple(deficits[i] - deficits[i - 1] for i in range(1, horizon))
 
     bh = 0

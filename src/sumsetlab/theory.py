@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import IntegerSet, binomial
+from .core import IntegerSet, composition_count
 from .lattice import MinimaReport, find_minima
 from .sumset import fold_sizes
 
@@ -39,7 +39,7 @@ def predicted_size(h: int, k: int, h1: int) -> int:
         raise ValueError("prediction requires k >= 4")
     if h1 < 2:
         raise ValueError("h1 is at least 2 for any set of distinct integers")
-    return binomial(h + k - 1, k - 1) - binomial(h - h1 + k - 1, k - 1)
+    return composition_count(h, k) - composition_count(h - h1, k)
 
 
 @dataclass(frozen=True)
@@ -78,11 +78,10 @@ def verify_main_theorem(A: IntegerSet, max_cap: int = 4096) -> VerificationRepor
     h1 = report.minima[0] // 2
     h2 = report.minima[1] // 2
     per_h: list[tuple[int, int, int, bool]] = []
-    if h2 > 1:
-        brute = fold_sizes(A.elements, h2 - 1)
-        for h in range(1, h2):
-            pred = predicted_size(h, A.k, h1)
-            per_h.append((h, brute[h - 1], pred, brute[h - 1] == pred))
+    brute = fold_sizes(A.elements, h2 - 1)
+    for h in range(1, h2):
+        pred = predicted_size(h, A.k, h1)
+        per_h.append((h, brute[h - 1], pred, brute[h - 1] == pred))
     ok = all(m for *_, m in per_h)
     return VerificationReport(A, h1, h2, tuple(per_h), ok)
 
@@ -123,22 +122,21 @@ def extreme_and_realizable(h: int, k: int) -> tuple[int, int, list[tuple[int, In
 
     Returns (m, M, realizable) where m = hk-h+1 (arithmetic progression),
     M = C(h+k-1, k-1), and realizable lists (size, witness) pairs in
-    decreasing size order: M itself, then M - C(h-a+k-1, k-1) for a = h
-    down to 2, each witnessed by construct_lemma_set(a, h+1, k). For
-    k < 4 the lemma constructor does not apply, so only M carries a
-    witness there.
+    decreasing size order: M itself, then the popular sizes
+    M - C(h-a+k-1, k-1) for a = h down to 2, each witnessed by
+    construct_lemma_set(a, h+1, k). For k < 4 the lemma constructor does
+    not apply, so only M carries a witness there.
     """
     if h < 1:
         raise ValueError("h must be positive")
     if k < 2:
         raise ValueError("k must be at least 2")
     m = h * k - h + 1
-    M = binomial(h + k - 1, k - 1)
+    M = composition_count(h, k)
     realizable: list[tuple[int, IntegerSet]] = []
     if k >= 4:
         realizable.append((M, construct_lemma_set(h + 1, h + 1, k)))
-        for a in range(h, 1, -1):
-            size = M - binomial(h - a + k - 1, k - 1)
+        for a, size in zip(range(h, 1, -1), popular_sizes(h, k)):
             realizable.append((size, construct_lemma_set(a, h + 1, k)))
     else:
         # k = 2: every pair is a B_h set. k = 3: {0, 1, h+1} encodes sums
@@ -153,5 +151,5 @@ def popular_sizes(h: int, k: int) -> list[int]:
     M - C(j+k-1, k-1) for j = 0..h-2, in decreasing order. For k = 4 the
     subtracted terms are the tetrahedral numbers, so consecutive popular
     sizes differ by triangular numbers."""
-    M = binomial(h + k - 1, k - 1)
-    return [M - binomial(j + k - 1, k - 1) for j in range(0, h - 1)]
+    M = composition_count(h, k)
+    return [M - composition_count(j, k) for j in range(0, h - 1)]

@@ -371,11 +371,10 @@ class LogLinear:
 def _q0(products) -> int:
     """The least q with r**q >= 4, i.e. q*log2(r) >= 2, where r is the
     least ratio of two distinct products: the least dilation that puts
-    every two distinct h-fold log sums at least 2 apart."""
+    every two distinct h-fold log sums at least 2 apart. The products of
+    k >= 2 distinct positive elements hold at least two values, since
+    p_1**h < p_2**h."""
     prods = sorted(set(products))
-    if len(prods) < 2:
-        # only possible for P = {1}; excluded by k >= 2 with distinct elements
-        raise ValueError("all h-fold products coincide")
     a, b = prods[1], prods[0]
     for m1, m2 in zip(prods[1:], prods[2:]):
         if m2 * b < a * m1:

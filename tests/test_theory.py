@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sumsetlab.core import IntegerSet, binomial
+from sumsetlab.core import IntegerSet, binomial, enumerate_compositions
 from sumsetlab.lattice import find_minima, lattice_shells
 from sumsetlab.sumset import fold_size, fold_sizes
 from sumsetlab.theory import (
@@ -39,6 +39,22 @@ def test_predicted_deficit_difference_identity():
                 deficit = binomial(h + k - 1, k - 1) - predicted_size(h, k, h1)
                 assert deficit - prev == binomial(h - h1 + k - 2, k - 2)
                 prev = deficit
+
+
+def test_predicted_size_counts_compositions_not_dominating():
+    # |hA| counts the compositions c of h with c_i < u_i for some i, where
+    # u is any composition of h1 (the positive part of the first minimizer
+    # has this form); none dominate u while h < h1
+    rng = random.Random(21)
+    for k in range(4, 7):
+        for h1 in range(2, 6):
+            for u in rng.sample(enumerate_compositions(h1, k), 3):
+                for h in range(1, 11):
+                    count = sum(
+                        any(ci < ui for ci, ui in zip(c, u))
+                        for c in enumerate_compositions(h, k)
+                    )
+                    assert predicted_size(h, k, h1) == count, (h, k, h1, u)
 
 
 def test_predicted_size_validation():
@@ -144,6 +160,14 @@ def test_extremes_witnesses_brute_checked():
         _, M, realizable = extreme_and_realizable(h, k)
         for size, witness in realizable:
             assert fold_size(witness.elements, h) == size, (h, k, size, witness)
+
+
+def test_extremes_realizable_sizes_are_popular_sizes():
+    for k in range(4, 7):
+        for h in range(1, 9):
+            _, M, realizable = extreme_and_realizable(h, k)
+            assert realizable[0][0] == M
+            assert [size for size, _ in realizable[1:]] == popular_sizes(h, k), (h, k)
 
 
 def test_extremes_small_k_witnesses():
