@@ -21,6 +21,17 @@ generator is left in the same state; the tests hold the batched sampler
 to that scalar one. The draw buffer holds _DRAW_BLOCK * k integers
 whatever the sample count.
 
+The minima statistics size their samples many sets at a time, with one
+`_minima_values_block` call per block, and a shard holds too few samples
+to fill a block (about 5 of a 300-sample run). So a job there is a run of
+contiguous shards (`_shard_runs`): shards join a run while its samples
+stay within _DRAW_BLOCK, and a shard larger than that is a run of its
+own. The cut depends only on the sample count, never on the workers. A
+job draws its shards' samples in shard order, each shard from its own
+stream, and sizes them in blocks of at most _DRAW_BLOCK, so a job holds
+at most one block of subsets and the counts do not depend on where the
+blocks fall.
+
 The exhaustive scan is sharded by the first element of each subset and
 walks each shard in lexicographic order, so consecutive subsets share
 their (k-1)-prefix P. With M_i the mask of iP - i*min(P), the mask of
@@ -54,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CapExceeded, IntegerSet, binomial, composition_count, enumerate_compositions
-from .lattice import _check_minima_args, _minima_values
+from .lattice import _check_minima_args, _minima_values_block
 from .lattice import find_minima  # noqa: F401  unused; perfbench/spans.py wraps experiments.find_minima
 from .sumset import fold_size
 from .theory import popular_sizes
@@ -261,15 +272,44 @@ def exhaustive_scan(n: int, k: int, h: int, workers: int = 1) -> Histogram:
     return Histogram(dict(_run_sharded(jobs, _scan_shard, workers)), total)
 
 
-def _minima_shard(args) -> Counter:
-    """Counter of (i, h_i) over the shard's samples, i from 0, for every
-    sample whose i-th minimum 2h_i lies within the cap."""
-    n, k, seed, shard, count, cap, minima_count = args
+def _minima_job(args) -> Counter:
+    """Counter of (i, h_i) over the samples of a run of contiguous shards,
+    i from 0, for every sample whose i-th minimum 2h_i lies within the cap.
+
+    shards holds (shard, count) pairs in shard order. Their samples are
+    drawn in that order and sized in blocks of at most _DRAW_BLOCK by one
+    `_minima_values_block` call each."""
+    n, k, seed, shards, cap, minima_count = args
+    subsets = itertools.chain.from_iterable(
+        _sample_subsets(_shard_rng(seed, shard), n, k, count) for shard, count in shards
+    )
     counts: Counter = Counter()
-    for subset in _sample_subsets(_shard_rng(seed, shard), n, k, count):
-        minima = _minima_values(IntegerSet(subset), minima_count, cap)
-        counts.update(enumerate(m // 2 for m in minima))
+    while block := list(itertools.islice(subsets, _DRAW_BLOCK)):
+        for minima in _minima_values_block(block, minima_count, cap):
+            counts.update(enumerate(m // 2 for m in minima))
     return counts
+
+
+def _minima_shard(args) -> Counter:
+    """_minima_job on one shard: (n, k, seed, shard, count, cap, minima_count)."""
+    n, k, seed, shard, count, cap, minima_count = args
+    return _minima_job((n, k, seed, ((shard, count),), cap, minima_count))
+
+
+def _shard_runs(sizes: list[int]) -> list[tuple[tuple[int, int], ...]]:
+    """The shards, as (shard, count) pairs, cut into runs of contiguous
+    shards: a run takes the next shard while its samples stay within
+    _DRAW_BLOCK, and a shard larger than that is a run of its own. The
+    cut depends on the shard sizes alone."""
+    runs: list[list[tuple[int, int]]] = []
+    total = 0
+    for shard, count in enumerate(sizes):
+        if not runs or total + count > _DRAW_BLOCK:
+            runs.append([])
+            total = 0
+        runs[-1].append((shard, count))
+        total += count
+    return [tuple(run) for run in runs]
 
 
 def minima_statistics(
@@ -287,11 +327,15 @@ def minima_statistics(
     computed exactly (up to the even norm cap). Only their values are
     used: at k <= 4 they are the norms of the L1-reduced kernel basis, with
     no lattice sweep, and at k >= 5 one sweep certifies them (see
-    lattice._minima_values). A sample whose i-th minimum exceeds the cap
-    counts toward that minimum's truncation rate and is excluded from its
-    mean. The summary carries the full histogram of h1 = lambda_1 / 2, and
-    mean/stddev per minimum. The lattice needs k >= 3, and the subsets
-    n >= k.
+    lattice._minima_values). Jobs are runs of contiguous shards, cut by
+    `samples` alone, and each job sizes its samples in blocks of at most
+    _DRAW_BLOCK through lattice._minima_values_block, which takes the
+    k <= 4 sets of a block in int64 under its guards and every other set
+    one at a time (see the module docstring). A sample whose i-th minimum
+    exceeds the cap counts toward that minimum's truncation rate and is
+    excluded from its mean. The summary carries the full histogram of
+    h1 = lambda_1 / 2, and mean/stddev per minimum. The lattice needs
+    k >= 3, and the subsets n >= k.
     """
     if not n >= k >= 3:
         raise ValueError("need n >= k >= 3")
@@ -301,11 +345,9 @@ def minima_statistics(
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     _check_minima_args(k, count, cap)
-    jobs = [
-        (n, k, seed, shard, per, cap, count)
-        for shard, per in enumerate(_shard_sizes(samples, SHARD_COUNT))
-    ]
-    counts = _run_sharded(jobs, _minima_shard, workers)
+    runs = _shard_runs(_shard_sizes(samples, SHARD_COUNT))
+    jobs = [(n, k, seed, run, cap, count) for run in runs]
+    counts = _run_sharded(jobs, _minima_job, workers)
 
     minima_stats = []
     for i in range(count):

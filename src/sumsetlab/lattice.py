@@ -43,12 +43,26 @@ the bound is the one basis vector's norm, and at k = 4 it is exactly
 lambda_count. So at rank <= 2 the minima values come from the reduced
 basis alone, with no sweep (`_minima_values`); the minimizers, and the
 minima at k >= 5, still take that one sweep.
+
+Many sets at once (`_minima_values_block`, the minima statistics' path)
+run those rank <= 2 values as int64 array steps over a block of sets:
+the Euclid of `_difference_kernel` with its pivot rule and floor
+division, then the rank-2 L1 step of `_l1_reduce`. int64 is exact there
+by runtime guards: a set joins the block only if its elements fit int64
+and a_k - a_1 < 2^31, keeps its block values only if every transform
+entry stayed below 2^31 after every Euclid step (so no quotient times
+entry reaches 2^62) and its kernel rows have L1 norm below 2^31 (so no
+reduction candidate reaches 2^31 + 2^62), and otherwise goes through
+`_minima_values`, as every set at k >= 5 does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
+
+import numpy as np
 
 from .core import IntegerSet, _integral
 
@@ -417,3 +431,126 @@ def _minima_values(A: IntegerSet, count: int, max_cap: int) -> tuple[int, ...]:
         return find_minima(A, count, max_cap).minima
     _check_minima_args(A.k, count, max_cap)
     return tuple(m for m in _reduced_norms(A, count) if m <= max_cap)
+
+
+# A block holds only sets whose elements lie within +-_INT64_MAX, and runs
+# in int64 only while their differences, transform entries and kernel-row
+# L1 norms stay below _INT64_GUARD (see _minima_values_block).
+_INT64_GUARD = 2**31
+_INT64_MAX = 2**63 - 1
+
+
+def _kernel_block(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_difference_kernel on every row of d, the int64 differences
+    a_j - a_1 (j = 2..k, each in [1, _INT64_GUARD)) of one set a row.
+
+    Each pass is one step of the per-set loop on every row: the same pivot
+    (smallest nonzero d, first on ties), the same floor division. A cleared
+    row is a fixed point of the step, so the passes run until every row is
+    cleared. Returns the kernel rows, shape (sets, k - 2, k), and a mask of
+    the sets whose transform entries stayed below _INT64_GUARD after every
+    step. A set that leaves the guard has its differences zeroed, which
+    freezes it, and is not valid.
+    """
+    sets, n = d.shape
+    at = np.arange(sets)
+    u = np.zeros((sets, n, n), dtype=np.int64)
+    u[:, np.arange(n), np.arange(n)] = 1
+    ok = np.ones(sets, dtype=bool)
+    while d[:, 1:].any():
+        piv = np.where(d > 0, d, _INT64_MAX).argmin(axis=1)
+        p, u0 = d[at, piv], u[at, piv]
+        d[at, piv], u[at, piv] = d[:, 0], u[:, 0]
+        d[:, 0], u[:, 0] = p, u0
+        # |q| and every |u| are below 2^31, so q*u stays below 2^62
+        q = d[:, 1:] // d[:, :1]
+        d[:, 1:] -= q * d[:, :1]
+        u[:, 1:] -= q[:, :, None] * u[:, :1]
+        if np.abs(u).max() >= _INT64_GUARD:
+            escaped = (np.abs(u) >= _INT64_GUARD).any(axis=(1, 2))
+            ok &= ~escaped
+            d[escaped, 1:] = 0
+    rows = u[:, 1:]
+    return np.concatenate([-rows.sum(axis=2, keepdims=True), rows], axis=2), ok
+
+
+def _reduced_norms_block(r: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two norms of _l1_reduce([r_i, b_i]) for every row pair, smaller
+    first, when every row has L1 norm below _INT64_GUARD.
+
+    The same steps as the per-set loop: order the pair by norm, replace b
+    by its shortest b - mu*r over mu = floor(b_j / r_j) and that plus 1,
+    and swap and repeat while b comes out shorter than r. A coordinate with
+    r_j = 0 contributes mu = 0 and 1 instead of nothing; the minimum over
+    the per-set candidates is already the minimum over every integral mu,
+    so the extra candidates do not change its norm, and at rank 2 the final
+    norms are lambda_1 and lambda_2 whichever minimizer a tie picks. With
+    ||b||_1, ||r||_1 < 2^31 every |mu| is at most 2^31, so every candidate
+    norm is below 2^31 + 2^62; no step lengthens b, so the bound holds to
+    the end.
+    """
+    nr, nb = np.abs(r).sum(axis=1), np.abs(b).sum(axis=1)
+    swap = nb < nr
+    r, b = np.where(swap[:, None], b, r), np.where(swap[:, None], r, b)
+    nr, nb = np.minimum(nr, nb), np.maximum(nr, nb)
+    live = np.arange(len(r))
+    while live.size:
+        rl, bl = r[live], b[live]
+        nonzero = rl != 0
+        mu = np.where(nonzero, bl // np.where(nonzero, rl, 1), 0)
+        mu = np.concatenate([mu, mu + 1], axis=1)
+        norms = np.zeros(mu.shape, dtype=np.int64)
+        for j in range(rl.shape[1]):
+            norms += np.abs(bl[:, j, None] - mu * rl[:, j, None])
+        best = norms.argmin(axis=1)
+        at = np.arange(live.size)
+        length = norms[at, best]
+        shortest = bl - mu[at, best][:, None] * rl
+        shorter = length < nr[live]
+        done, again = live[~shorter], live[shorter]
+        nb[done] = length[~shorter]
+        b[again], nb[again] = rl[shorter], nr[again]
+        r[again], nr[again] = shortest[shorter], length[shorter]
+        live = again
+    return nr, nb
+
+
+def _minima_values_block(sets, count: int, max_cap: int) -> list[tuple[int, ...]]:
+    """[_minima_values(IntegerSet(s), count, max_cap) for s in sets], for
+    sorted tuples s of distinct integers, with the sets of size k <= 4 taken
+    a block at a time in int64.
+
+    The block runs _difference_kernel and _l1_reduce as array steps over
+    all its sets (_kernel_block, _reduced_norms_block). Exactness rests on
+    runtime guards, not on a bound proven in advance: a set joins the block
+    only if its elements fit int64 and a_k - a_1 < 2^31, so every
+    difference and quotient stays below 2^31; it keeps its block values
+    only if every transform entry stayed below 2^31 after every Euclid
+    step, so no q*u reaches 2^62, and if its kernel rows have L1 norm below
+    2^31, which bounds every reduction candidate below 2^31 + 2^62. Sets
+    that fail a guard, and every set of size k >= 5, go through
+    _minima_values itself.
+    """
+    values: list = [None] * len(sets)
+    blocks: dict[int, list[int]] = {}
+    for i, s in enumerate(sets):
+        lo, hi = s[0], s[-1]
+        if 3 <= len(s) <= 4 and -_INT64_MAX <= lo and hi <= _INT64_MAX and hi - lo < _INT64_GUARD:
+            blocks.setdefault(len(s), []).append(i)
+    for k, members in blocks.items():
+        _check_minima_args(k, count, max_cap)
+        elements = chain.from_iterable(sets[i] for i in members)
+        a = np.fromiter(elements, np.int64, k * len(members)).reshape(-1, k)
+        kernel, ok = _kernel_block(a[:, 1:] - a[:, :1])
+        norms = np.abs(kernel).sum(axis=2)
+        ok &= (norms < _INT64_GUARD).all(axis=1)
+        kernel, norms = kernel[ok], norms[ok]
+        if k == 4:
+            norms = np.stack(_reduced_norms_block(kernel[:, 0], kernel[:, 1]), axis=1)
+        kept = (i for i, good in zip(members, ok.tolist()) if good)
+        for i, row in zip(kept, norms[:, :count].tolist()):
+            values[i] = tuple(m for m in row if m <= max_cap)
+    return [
+        _minima_values(IntegerSet(s), count, max_cap) if v is None else v
+        for s, v in zip(sets, values)
+    ]

@@ -11,7 +11,11 @@ hA - h*min(A). A step is k-1 big-int shifts and ORs, which beats
 set-based dedup by a wide margin in the dense regime this library scans.
 When the window is too wide for a bitmask the same fold runs on a Python
 set instead. Both paths are exact and check every step's size against
-DEFAULT_SIZE_CAP, read at call time.
+DEFAULT_SIZE_CAP, and the fold's length against DEFAULT_FOLD_BUDGET: the
+mask path sizes its work before the first step, as the bits of the masks
+its h - 1 steps shift, diam * h(h-1)/2, and the set path counts the
+elements each step expands as it goes. Both constants are read at call
+time.
 
 `fold_size` sizes hA from the folds of its prefix P = A minus max(A):
 given the masks of jP for j = 1..h it reads off |hA| with h shift-ORs and
@@ -33,6 +37,12 @@ from .core import CapExceeded, IntegerSet, composition_count, normalize
 
 DEFAULT_SIZE_CAP = 100_000_000
 
+# Work of one `_fold`, summed over its h - 1 steps: on the mask path the
+# bits of the mask each step shifts (diam * h(h-1)/2 in all, checked before
+# the first step), on the set path the elements of the set each step
+# expands (counted as the steps run).
+DEFAULT_FOLD_BUDGET = 10_000_000_000
+
 # Above this many bits the mask no longer fits comfortably in memory and
 # the sparse set path wins anyway.
 _BITMASK_SPAN_LIMIT = 1 << 26
@@ -50,17 +60,20 @@ def _fold(elements: tuple[int, ...], h: int) -> tuple[list[int], int | set[int]]
     plus hA - h*min(A): a bitmask if its span fits the limit, else a set."""
     if h < 1:
         raise ValueError("h must be positive")
-    cap = DEFAULT_SIZE_CAP
+    cap, budget = DEFAULT_SIZE_CAP, DEFAULT_FOLD_BUDGET
     base = elements[0]
     offsets = tuple(a - base for a in elements)
     shifts = offsets[1:]
     bitmask = h * offsets[-1] <= _BITMASK_SPAN_LIMIT
     if bitmask:
+        work = offsets[-1] * (h * (h - 1) // 2)
+        if work > budget:
+            raise CapExceeded(f"fold of {work} mask bits exceeds budget {budget}")
         cur = 1
         for o in shifts:
             cur |= 1 << o
     else:
-        cur = set(offsets)
+        cur, work = set(offsets), 0
     sizes = [len(offsets)]
     for _ in range(h - 1):
         if bitmask:
@@ -70,6 +83,9 @@ def _fold(elements: tuple[int, ...], h: int) -> tuple[list[int], int | set[int]]
             cur = nxt
             n = cur.bit_count()
         else:
+            work += len(cur)
+            if work > budget:
+                raise CapExceeded(f"fold of {work} set elements so far exceeds budget {budget}")
             cur = {s + o for s in cur for o in offsets}
             n = len(cur)
         if n > cap:

@@ -7,8 +7,11 @@ import inspect
 import re
 from pathlib import Path
 
+import pytest
+
 import sumsetlab
 from sumsetlab import core, experiments, lattice, sumset, theory, types
+from sumsetlab.core import CapExceeded, IntegerSet
 
 MODULES = (core, sumset, lattice, theory, types, experiments)
 BUDGET_PARAMS = {"cap", "budget", "max_bits", "schedule"}
@@ -81,3 +84,35 @@ def test_readme_lists_every_budget_constant():
         "types.DILATION_STEP_BUDGET",
     } <= constants.keys()
     assert listed == constants
+
+
+def test_fold_budget_bounds_the_fold_length(monkeypatch):
+    # {0, 1} at h = 5*10^7 keeps |hA| = h + 1 under the size cap, but its
+    # masks hold about 1.25*10^15 bits: the check comes before the first step
+    with pytest.raises(CapExceeded, match="mask bits exceeds budget"):
+        sumset.h_fold_sumset(IntegerSet([0, 1]), 50_000_000)
+    # diam * h(h-1)/2 bits: 3 * 45 = 135 for {0, 3} at h = 10
+    monkeypatch.setattr(sumset, "DEFAULT_FOLD_BUDGET", 134)
+    with pytest.raises(CapExceeded, match="exceeds budget 134"):
+        sumset.fold_sizes((0, 3), 10)
+    monkeypatch.setattr(sumset, "DEFAULT_FOLD_BUDGET", 135)
+    assert sumset.fold_sizes((0, 3), 10) == list(range(2, 12))
+    # the set path counts |jA| for j = 1..h-1 as it goes: 2 + 3 + ... + 10 = 54
+    wide = (0, sumset._BITMASK_SPAN_LIMIT)
+    monkeypatch.setattr(sumset, "DEFAULT_FOLD_BUDGET", 53)
+    with pytest.raises(CapExceeded, match="set elements so far exceeds budget 53"):
+        sumset.fold_sizes(wide, 10)
+    monkeypatch.setattr(sumset, "DEFAULT_FOLD_BUDGET", 54)
+    assert sumset.fold_sizes(wide, 10) == list(range(2, 12))
+
+
+def test_fold_budget_leaves_the_shared_prefix_path_alone(monkeypatch):
+    # fold_size's memo path is bounded by _PREFIX_MEMO_SPAN_LIMIT instead,
+    # so the census and the scan size hA without the fold budget
+    elements = (1, 5, 96, 100)
+    expected = sumset.fold_sizes(elements, 10)[-1]
+    monkeypatch.setattr(sumset, "DEFAULT_FOLD_BUDGET", 0)
+    monkeypatch.setattr(sumset, "_last_prefix", ((), 0, []))
+    assert sumset.fold_size(elements, 10) == expected
+    with pytest.raises(CapExceeded):
+        sumset.fold_sizes(elements, 10)

@@ -487,13 +487,39 @@ def test_minima_statistics_matches_oracle_at_benchmark_shape(count):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_sharded_merges_like_a_counter_sum(workers):
-    jobs = [
-        (500, 4, 11, shard, per, 64, 2)
-        for shard, per in enumerate(experiments._shard_sizes(200, experiments.SHARD_COUNT))
-    ]
-    merged = experiments._run_sharded(jobs, experiments._minima_shard, workers)
-    summed = sum(map(experiments._minima_shard, jobs), Counter())
+    # 3000 samples cut into runs of contiguous shards, several jobs
+    runs = experiments._shard_runs(experiments._shard_sizes(3000, experiments.SHARD_COUNT))
+    jobs = [(500, 4, 11, run, 64, 2) for run in runs]
+    assert len(jobs) > workers
+    merged = experiments._run_sharded(jobs, experiments._minima_job, workers)
+    summed = sum(map(experiments._minima_job, jobs), Counter())
     assert list(merged.items()) == list(summed.items())
+
+
+@pytest.mark.parametrize("samples", [0, 1, 63, 64, 300, 1024, 2000, 65_537, 100_000])
+def test_shard_runs_cover_every_shard_in_order(samples):
+    sizes = experiments._shard_sizes(samples, experiments.SHARD_COUNT)
+    runs = experiments._shard_runs(sizes)
+    assert [pair for run in runs for pair in run] == list(enumerate(sizes))
+    for run in runs:
+        assert len(run) == 1 or sum(count for _, count in run) <= experiments._DRAW_BLOCK
+    # a run ends only where the next shard would overfill it
+    for run, after in zip(runs, runs[1:]):
+        assert sum(count for _, count in run) + after[0][1] > experiments._DRAW_BLOCK
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_minima_statistics_worker_invariance_at_benchmark_shape(count):
+    args = (10_000, 4, 300, 20250809, 1024)
+    serial = minima_statistics(*args, count=count, workers=1)
+    for workers in (2, 3):
+        assert minima_statistics(*args, count=count, workers=workers) == serial
+
+
+def test_minima_statistics_matches_oracle_past_int64():
+    # n = 2^63: elements no int64 holds, every set sized per set
+    summary = minima_statistics(2**63, 4, 20, seed=3, cap=64)
+    assert summary == minima_statistics_oracle(2**63, 4, 20, 3, 64, 1)
 
 
 def test_minima_statistics_validation():

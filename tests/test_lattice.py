@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -779,3 +780,121 @@ def test_contains_converts_integral_coordinates_and_rejects_the_rest():
     assert not basis.contains((Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(1, 2)))
     assert not basis.contains((float("inf"), -1, -1, 1))
     assert not basis.contains((float("nan"), -1, -1, 1))
+
+
+# ---------------------------------------------------------------------------
+# The block path: _minima_values_block against per-set _minima_values.
+
+
+def per_set_minima_values(sets, count, max_cap):
+    return [lattice._minima_values(IntegerSet(s), count, max_cap) for s in sets]
+
+
+@st.composite
+def minima_blocks(draw):
+    # k >= 5 sweeps each set at its reduced norm, twice (the block falls
+    # back to the oracle), so its blocks and spans stay small
+    k = draw(st.integers(3, 6))
+    spans = [8, 60, 10_000, 10**6, 2**31, 2**40] if k <= 4 else [8, 60]
+    span = draw(st.sampled_from(spans))
+    elems = st.lists(st.integers(-span, span), min_size=k, max_size=k, unique=True)
+    size = 40 if k <= 4 else 6
+    sets = draw(st.lists(elems.map(lambda e: tuple(sorted(e))), min_size=1, max_size=size))
+    count = draw(st.integers(1, k - 2))
+    return sets, count, 2 * draw(st.integers(2, 2048))
+
+
+@settings(max_examples=300, deadline=None)
+@given(minima_blocks())
+def test_minima_values_block_matches_per_set(case):
+    assert lattice._minima_values_block(*case) == per_set_minima_values(*case)
+
+
+def recorded_fallbacks(monkeypatch) -> list[tuple[int, ...]]:
+    """Patch lattice._minima_values to record the set of every call."""
+    seen = []
+    per_set = lattice._minima_values
+
+    def recorded(A, count, max_cap):
+        seen.append(A.elements)
+        return per_set(A, count, max_cap)
+
+    monkeypatch.setattr(lattice, "_minima_values", recorded)
+    return seen
+
+
+M31 = 2**31 - 1
+
+
+@pytest.mark.parametrize(
+    "sets, fallback",
+    [
+        # a_k - a_1 = 2^31 - 1 joins the block; its kernel rows are short
+        ([(0, 548_563_997, 1_337_671_203, M31)], []),
+        ([(5, 548_563_997, 1_337_671_203, M31 + 5)], []),
+        # a_k - a_1 = 2^31 goes through _minima_values
+        ([(0, 548_563_997, 1_337_671_203, M31 + 1)], [0]),
+        ([(-1, 548_563_997, 1_337_671_203, M31)], [0]),
+        # a prime spread of 2^31 - 1 at k = 3: the one kernel row has norm
+        # 2(2^31 - 1), above the row guard
+        ([(0, 1_000_000, M31), (0, 1, 2, 3)], [0]),
+        # the int64 range ends at 2^63 - 1 and starts at -2^63; elements
+        # outside it go through _minima_values, whatever the spread
+        ([(2**63 - 8, 2**63 - 7, 2**63 - 5, 2**63 - 1)], []),
+        ([(2**63 - 7, 2**63 - 6, 2**63 - 4, 2**63)], [0]),
+        ([(-(2**63) + 1, -(2**63) + 6, -(2**63) + 97, -(2**63) + 101)], []),
+        ([(-(2**70), -(2**70) + 5, -(2**70) + 96, -(2**70) + 100)], [0]),
+        ([(0, 2**62, 2**63 - 1, 2**63)], [0]),
+        # a mixed block keeps its order, k = 3 and k = 4 apart
+        ([(0, 2, 18, 25), (0, 3, 7), (1, 2**40, 2**41, 2**42), (1, 5, 96, 100)], [2]),
+    ],
+)
+@pytest.mark.parametrize("count", [1, 2])
+def test_minima_values_block_guards(monkeypatch, sets, fallback, count):
+    count = min(count, min(len(s) for s in sets) - 2)
+    expected = per_set_minima_values(sets, count, 4096)
+    seen = recorded_fallbacks(monkeypatch)
+    assert lattice._minima_values_block(sets, count, 4096) == expected
+    assert seen == [sets[i] for i in fallback]
+
+
+def test_minima_values_block_samples_past_int64(monkeypatch):
+    # the sampler's largest n: elements up to 2^63, which no int64 holds;
+    # every spread is far past 2^31, so every set takes the fallback
+    from sumsetlab.experiments import _sample_subsets, _shard_rng
+
+    sets = list(_sample_subsets(_shard_rng(3, 0), 2**63, 4, 30))
+    assert max(max(s) for s in sets) >= 2**62
+    expected = per_set_minima_values(sets, 2, 64)
+    seen = recorded_fallbacks(monkeypatch)
+    assert lattice._minima_values_block(sets, 2, 64) == expected
+    assert seen == sets
+
+
+def test_minima_values_block_sends_k_above_4_through_the_sweep(monkeypatch):
+    sets = [(0, 1, 5, 11, 19), (2, 3, 10, 40, 41, 70)]
+    expected = per_set_minima_values(sets, 2, 64)
+    seen = recorded_fallbacks(monkeypatch)
+    assert lattice._minima_values_block(sets, 2, 64) == expected
+    assert seen == sets
+
+
+def test_kernel_block_freezes_a_set_whose_transform_leaves_the_guard(monkeypatch):
+    # d = (1, 2, 100): the first step writes -100 into a transform, so at
+    # a guard of 64 that set is frozen and marked, and its neighbour is not
+    monkeypatch.setattr(lattice, "_INT64_GUARD", 64)
+    d = np.array([[1, 2, 100], [2, 3, 5]], dtype=np.int64)
+    kernel, ok = lattice._kernel_block(d)
+    assert ok.tolist() == [False, True]
+    rows = tuple(map(tuple, kernel[1].tolist()))
+    assert rows == coefficient_lattice_basis(IntegerSet([0, 2, 3, 5])).rows
+
+
+def test_minima_values_block_checks_arguments():
+    with pytest.raises(ValueError, match=r"count must be in \[1, 2\]"):
+        lattice._minima_values_block([(0, 2, 18, 25)], 3, 64)
+    with pytest.raises(ValueError, match="cap must be an even integer >= 4"):
+        lattice._minima_values_block([(0, 2, 18, 25)], 1, 63)
+    with pytest.raises(ValueError, match="successive minima need k >= 3"):
+        lattice._minima_values_block([(1, 2)], 1, 64)
+    assert lattice._minima_values_block([], 1, 64) == []
