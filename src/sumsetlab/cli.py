@@ -310,9 +310,7 @@ def _cmd_exp_minima(args) -> None:
     summary = experiments.minima_statistics(
         args.n, args.k, args.samples, args.seed, args.cap, count=args.count, workers=args.workers
     )
-    rows = [(key, value) for key, value in sorted(
-        ((int(k), v) for k, v in summary["h1_histogram"].items())
-    )]
+    rows = sorted((int(h), c) for h, c in summary["h1_histogram"].items())
     _emit(args, summary, rows, ("h1", "count"))
 
 

@@ -1,36 +1,25 @@
 """Seeded sampling experiments and exhaustive scans over k-subsets of [n].
 
-Reproducibility scheme: work is split into a fixed number of shards
-(SHARD_COUNT, independent of the worker count), and shard s draws from
-its own counter-based Philox stream keyed by (seed, s). Every shard
-returns one Counter and `_run_sharded` adds them up in shard order, so
-the outcome is bit-identical for any worker count, including 1. The
-minima statistics count (i, h_i) pairs; means and deviations are taken
-from exact integer sums over those counts and only converted to floats
-in the final summary.
-
-A shard draws its subsets in blocks of at most _DRAW_BLOCK samples, one
-`rng.integers(lows, n, size=(rows, k))` call per block with
-lows = (0, 1, ..., k-1), and runs each row through a partial
-Fisher-Yates shuffle on a virtual array. numpy fills such an array in
-row-major order, each element one bounded draw on [j, n) from the
-generator's Philox stream, the same draw a scalar `rng.integers(j, n)`
-call takes. So a block consumes the stream exactly as k scalar calls per
-sample would, every subset is the one a per-sample sampler gives, and the
-generator is left in the same state; the tests hold the batched sampler
-to that scalar one. The draw buffer holds _DRAW_BLOCK * k integers
-whatever the sample count.
-
-The minima statistics size their samples many sets at a time, with one
-`_minima_values_block` call per block, and a shard holds too few samples
-to fill a block (about 5 of a 300-sample run). So a job there is a run of
-contiguous shards (`_shard_runs`): shards join a run while its samples
-stay within _DRAW_BLOCK, and a shard larger than that is a run of its
-own. The cut depends only on the sample count, never on the workers. A
-job draws its shards' samples in shard order, each shard from its own
-stream, and sizes them in blocks of at most _DRAW_BLOCK, so a job holds
-at most one block of subsets and the counts do not depend on where the
-blocks fall.
+Both sampled experiments, the |hA| census and the minima statistics, run
+one pipeline. The samples are split over SHARD_COUNT shards, a number
+fixed whatever the worker count, and shard s draws from its own
+counter-based Philox stream keyed by (seed, s). The shards are cut into
+one run of contiguous shards per worker. A job (`_sampled_job`) draws its
+run's samples in shard order and measures them in blocks of at most
+_DRAW_BLOCK, and `_run_sharded` adds the jobs' Counters. A measured value
+depends on its sample alone, not on the block it lands in, so the outcome
+is bit-identical for any worker count, including 1. A shard draws the
+swap targets of up to _DRAW_BLOCK samples with one
+`rng.integers(lows, n, size=(rows, k))` call, lows = (0, 1, ..., k-1),
+and runs each row through a partial Fisher-Yates shuffle on a virtual
+array. numpy fills that array in row-major order, each element one
+bounded draw on [j, n) from the Philox stream, the draw a scalar
+`rng.integers(j, n)` call takes. So a block consumes the stream as k
+scalar calls per sample would, and the tests hold the sampler to that
+scalar one. A job holds at most one block of subsets and one of draws,
+whatever the sample count. The minima statistics count (i, h_i) pairs and
+take means and deviations from exact integer sums, converted to floats
+only in the final summary.
 
 The exhaustive scan is sharded by the first element of each subset and
 walks each shard in lexicographic order, so consecutive subsets share
@@ -61,6 +50,7 @@ import itertools
 from concurrent.futures import ProcessPoolExecutor
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -179,28 +169,53 @@ def _sample_subsets(rng: np.random.Generator, n: int, k: int, count: int):
             yield tuple(out)
 
 
-def _random_shard(args) -> Counter:
-    n, k, h, seed, shard, count = args
-    return Counter(
-        fold_size(subset, h) for subset in _sample_subsets(_shard_rng(seed, shard), n, k, count)
+def _sampled_job(args) -> Counter:
+    """Counter of the values `measure` returns over the samples of a run of
+    contiguous shards. run holds (shard, count) pairs in shard order; their
+    samples are drawn in that order, each shard from its own stream, and
+    measured in blocks of at most _DRAW_BLOCK."""
+    n, k, seed, run, measure = args
+    subsets = itertools.chain.from_iterable(
+        _sample_subsets(_shard_rng(seed, shard), n, k, count) for shard, count in run
     )
+    counts: Counter = Counter()
+    while block := list(itertools.islice(subsets, _DRAW_BLOCK)):
+        counts.update(measure(block))
+    return counts
 
 
 def _run_sharded(jobs, worker, workers: int) -> Counter:
     """Run `worker` on every job and add up the Counters it returns, in job
-    order. Each job carries its own shard, so the sum does not depend on
-    `workers`, the number of processes the jobs are spread over."""
+    order. Each job carries its own shards, so the sum does not depend on
+    `workers`, the most processes the jobs are spread over."""
     if workers < 1:
         raise ValueError("workers must be positive")
+    processes = min(workers, len(jobs))
     total: Counter = Counter()
-    if workers == 1:
+    if processes <= 1:
         for part in map(worker, jobs):
             total.update(part)
         return total
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=processes) as pool:
         for part in pool.map(worker, jobs):
             total.update(part)
     return total
+
+
+def _run_sampled(n: int, k: int, samples: int, seed: int, measure, workers: int) -> Counter:
+    """The Counter `_sampled_job` gives over all `samples` samples, with the
+    shards cut into min(workers, SHARD_COUNT) runs of contiguous shards."""
+    shards = list(enumerate(_shard_sizes(samples, SHARD_COUNT)))
+    runs = min(workers, SHARD_COUNT)
+    jobs = [
+        (n, k, seed, tuple(shards[SHARD_COUNT * r // runs : SHARD_COUNT * (r + 1) // runs]), measure)
+        for r in range(runs)
+    ]
+    return _run_sharded(jobs, _sampled_job, workers)
+
+
+def _fold_sizes(h: int, block) -> list[int]:
+    return [fold_size(subset, h) for subset in block]
 
 
 def random_subset_experiment(config: ExperimentConfig) -> tuple[Histogram, dict]:
@@ -214,11 +229,11 @@ def random_subset_experiment(config: ExperimentConfig) -> tuple[Histogram, dict]
         hist = exhaustive_scan(config.n, config.k, config.h, workers=config.workers)
     else:
         _check_sampler_n(config.n)
-        jobs = [
-            (config.n, config.k, config.h, config.seed, shard, count)
-            for shard, count in enumerate(_shard_sizes(config.samples, SHARD_COUNT))
-        ]
-        hist = Histogram(dict(_run_sharded(jobs, _random_shard, config.workers)), config.samples)
+        measure = partial(_fold_sizes, config.h)
+        counts = _run_sampled(
+            config.n, config.k, config.samples, config.seed, measure, config.workers
+        )
+        hist = Histogram(dict(counts), config.samples)
 
     M = composition_count(config.h, config.k)
     popular = popular_sizes(config.h, config.k)
@@ -272,44 +287,14 @@ def exhaustive_scan(n: int, k: int, h: int, workers: int = 1) -> Histogram:
     return Histogram(dict(_run_sharded(jobs, _scan_shard, workers)), total)
 
 
-def _minima_job(args) -> Counter:
-    """Counter of (i, h_i) over the samples of a run of contiguous shards,
-    i from 0, for every sample whose i-th minimum 2h_i lies within the cap.
-
-    shards holds (shard, count) pairs in shard order. Their samples are
-    drawn in that order and sized in blocks of at most _DRAW_BLOCK by one
-    `_minima_values_block` call each."""
-    n, k, seed, shards, cap, minima_count = args
-    subsets = itertools.chain.from_iterable(
-        _sample_subsets(_shard_rng(seed, shard), n, k, count) for shard, count in shards
-    )
-    counts: Counter = Counter()
-    while block := list(itertools.islice(subsets, _DRAW_BLOCK)):
-        for minima in _minima_values_block(block, minima_count, cap):
-            counts.update(enumerate(m // 2 for m in minima))
-    return counts
-
-
-def _minima_shard(args) -> Counter:
-    """_minima_job on one shard: (n, k, seed, shard, count, cap, minima_count)."""
-    n, k, seed, shard, count, cap, minima_count = args
-    return _minima_job((n, k, seed, ((shard, count),), cap, minima_count))
-
-
-def _shard_runs(sizes: list[int]) -> list[tuple[tuple[int, int], ...]]:
-    """The shards, as (shard, count) pairs, cut into runs of contiguous
-    shards: a run takes the next shard while its samples stay within
-    _DRAW_BLOCK, and a shard larger than that is a run of its own. The
-    cut depends on the shard sizes alone."""
-    runs: list[list[tuple[int, int]]] = []
-    total = 0
-    for shard, count in enumerate(sizes):
-        if not runs or total + count > _DRAW_BLOCK:
-            runs.append([])
-            total = 0
-        runs[-1].append((shard, count))
-        total += count
-    return [tuple(run) for run in runs]
+def _minima_pairs(count: int, cap: int, block) -> list[tuple[int, int]]:
+    """(i, h_i), i from 0, for every sample of the block whose i-th minimum
+    2h_i lies within the cap."""
+    return [
+        (i, m // 2)
+        for minima in _minima_values_block(block, count, cap)
+        for i, m in enumerate(minima)
+    ]
 
 
 def minima_statistics(
@@ -324,18 +309,14 @@ def minima_statistics(
     """Distribution of the first lattice minima over random k-subsets.
 
     For each sampled subset the first `count` successive minima are
-    computed exactly (up to the even norm cap). Only their values are
-    used: at k <= 4 they are the norms of the L1-reduced kernel basis, with
-    no lattice sweep, and at k >= 5 one sweep certifies them (see
-    lattice._minima_values). Jobs are runs of contiguous shards, cut by
-    `samples` alone, and each job sizes its samples in blocks of at most
-    _DRAW_BLOCK through lattice._minima_values_block, which takes the
-    k <= 4 sets of a block in int64 under its guards and every other set
-    one at a time (see the module docstring). A sample whose i-th minimum
-    exceeds the cap counts toward that minimum's truncation rate and is
-    excluded from its mean. The summary carries the full histogram of
-    h1 = lambda_1 / 2, and mean/stddev per minimum. The lattice needs
-    k >= 3, and the subsets n >= k.
+    computed exactly (up to the even norm cap), one block of the sampled
+    pipeline (see the module docstring) at a time, by
+    lattice._minima_values_block. Only their values are used, so k <= 4
+    takes no lattice sweep. A sample whose i-th minimum exceeds the cap
+    counts toward that minimum's truncation rate and is excluded from its
+    mean. The summary carries the full histogram of h1 = lambda_1 / 2, and
+    mean/stddev per minimum. The lattice needs k >= 3, and the subsets
+    n >= k.
     """
     if not n >= k >= 3:
         raise ValueError("need n >= k >= 3")
@@ -345,9 +326,7 @@ def minima_statistics(
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     _check_minima_args(k, count, cap)
-    runs = _shard_runs(_shard_sizes(samples, SHARD_COUNT))
-    jobs = [(n, k, seed, run, cap, count) for run in runs]
-    counts = _run_sharded(jobs, _minima_job, workers)
+    counts = _run_sampled(n, k, samples, seed, partial(_minima_pairs, count, cap), workers)
 
     minima_stats = []
     for i in range(count):

@@ -47,13 +47,9 @@ minima at k >= 5, still take that one sweep.
 Many sets at once (`_minima_values_block`, the minima statistics' path)
 run those rank <= 2 values as int64 array steps over a block of sets:
 the Euclid of `_difference_kernel` with its pivot rule and floor
-division, then the rank-2 L1 step of `_l1_reduce`. int64 is exact there
-by runtime guards: a set joins the block only if its elements fit int64
-and a_k - a_1 < 2^31, keeps its block values only if every transform
-entry stayed below 2^31 after every Euclid step (so no quotient times
-entry reaches 2^62) and its kernel rows have L1 norm below 2^31 (so no
-reduction candidate reaches 2^31 + 2^62), and otherwise goes through
-`_minima_values`, as every set at k >= 5 does.
+division, then the rank-2 L1 step of `_l1_reduce`. Runtime guards keep
+int64 exact, and a set that fails one goes through `_minima_values`;
+`_minima_values_block` states them.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 import itertools
 import tracemalloc
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -134,10 +135,10 @@ def test_each_shard_draws_once_per_block(monkeypatch, count):
     shard_rng = experiments._shard_rng
     monkeypatch.setattr(experiments, "_shard_rng", lambda seed, shard: CountingRng(shard_rng(seed, shard)))
     blocks = -(-count // 1024)
-    experiments._random_shard((1000, 4, 10, 3, 5, count))
+    experiments._sampled_job((1000, 4, 3, ((5, count),), partial(experiments._fold_sizes, 10)))
     assert len(sizes) == blocks and sum(rows for rows, _ in sizes) == count
     sizes.clear()
-    experiments._minima_shard((40, 4, 3, 5, count, 8, 1))
+    experiments._sampled_job((40, 4, 3, ((5, count),), partial(experiments._minima_pairs, 1, 8)))
     assert len(sizes) == blocks and all(size[1] == 4 for size in sizes)
 
 
@@ -487,25 +488,75 @@ def test_minima_statistics_matches_oracle_at_benchmark_shape(count):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_sharded_merges_like_a_counter_sum(workers):
-    # 3000 samples cut into runs of contiguous shards, several jobs
-    runs = experiments._shard_runs(experiments._shard_sizes(3000, experiments.SHARD_COUNT))
-    jobs = [(500, 4, 11, run, 64, 2) for run in runs]
+    # 3000 samples in runs of 8 contiguous shards, several jobs
+    shards = list(enumerate(experiments._shard_sizes(3000, experiments.SHARD_COUNT)))
+    measure = partial(experiments._minima_pairs, 2, 64)
+    jobs = [(500, 4, 11, tuple(shards[i : i + 8]), measure) for i in range(0, len(shards), 8)]
     assert len(jobs) > workers
-    merged = experiments._run_sharded(jobs, experiments._minima_job, workers)
-    summed = sum(map(experiments._minima_job, jobs), Counter())
+    merged = experiments._run_sharded(jobs, experiments._sampled_job, workers)
+    summed = sum(map(experiments._sampled_job, jobs), Counter())
     assert list(merged.items()) == list(summed.items())
 
 
 @pytest.mark.parametrize("samples", [0, 1, 63, 64, 300, 1024, 2000, 65_537, 100_000])
-def test_shard_runs_cover_every_shard_in_order(samples):
+def test_shard_runs_cover_every_shard_in_order(monkeypatch, samples):
+    calls = []
+    monkeypatch.setattr(experiments, "_run_sharded", lambda *call: calls.append(call) or Counter())
     sizes = experiments._shard_sizes(samples, experiments.SHARD_COUNT)
-    runs = experiments._shard_runs(sizes)
-    assert [pair for run in runs for pair in run] == list(enumerate(sizes))
-    for run in runs:
-        assert len(run) == 1 or sum(count for _, count in run) <= experiments._DRAW_BLOCK
-    # a run ends only where the next shard would overfill it
-    for run, after in zip(runs, runs[1:]):
-        assert sum(count for _, count in run) + after[0][1] > experiments._DRAW_BLOCK
+    measure = partial(experiments._fold_sizes, 3)
+    for workers in (1, 2, 3, 7, 64, 65, 1000):
+        calls.clear()
+        experiments._run_sampled(1000, 4, samples, 5, measure, workers)
+        [(jobs, worker, passed)] = calls
+        assert worker is experiments._sampled_job and passed == workers
+        # one nonempty run of contiguous shards per worker, up to one per shard
+        assert len(jobs) == min(workers, experiments.SHARD_COUNT)
+        assert all(job[3] and job[:3] + job[4:] == (1000, 4, 5, measure) for job in jobs)
+        assert [pair for job in jobs for pair in job[3]] == list(enumerate(sizes))
+
+
+@pytest.mark.parametrize("samples", [1, 37, 65])
+def test_sampled_experiments_do_not_depend_on_workers(samples):
+    # fewer samples than shards, or barely more; at 1 sample, some runs draw nothing
+    def census(workers):
+        config = ExperimentConfig(n=300, k=4, h=5, samples=samples, seed=6, workers=workers)
+        hist, summary = random_subset_experiment(config)
+        return hist, {key: value for key, value in summary.items() if key != "config"}
+
+    def minstat(workers):
+        return minima_statistics(200, 4, samples, 6, 64, count=2, workers=workers)
+
+    for experiment in (census, minstat):
+        serial = experiment(1)
+        assert all(experiment(workers) == serial for workers in (2, 3))
+
+
+def test_pool_has_no_more_processes_than_jobs(monkeypatch):
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    serial = exhaustive_scan(14, 4, 3)
+    assert exhaustive_scan(14, 4, 3, workers=500) == serial  # 11 jobs, one per first element
+    assert pools == [11]
+    pools.clear()
+    assert experiments._run_sharded([(14, 4, 3, 1)], experiments._scan_shard, 500)
+    assert pools == []  # one job runs in this process
+    config = ExperimentConfig(n=300, k=4, h=5, samples=37, seed=6, workers=500)
+    random_subset_experiment(config)
+    assert pools == [experiments.SHARD_COUNT]
 
 
 @pytest.mark.parametrize("count", [1, 2])
