@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import experiments, lattice, sumset, theory, types
-from .core import CapExceeded, IntegerSet, RationalSet
+from .core import IntegerSet, RationalSet
 
 _WORKERS_ENV = "SUMSETLAB_WORKERS"
 
@@ -396,7 +396,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         args.func(args)
-    except (ValueError, CapExceeded, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -1,29 +1,32 @@
 """Seeded sampling experiments and exhaustive scans over k-subsets of [n].
 
-Both sampled experiments, the |hA| census and the minima statistics, run
-one pipeline. The samples are split over SHARD_COUNT shards, a number
-fixed whatever the worker count, and shard s draws from its own
-counter-based Philox stream keyed by (seed, s). The shards are cut into
-one run of contiguous shards per worker. A job (`_sampled_job`) draws its
-run's samples in shard order and measures them in blocks of at most
-_DRAW_BLOCK, and `_run_sharded` adds the jobs' Counters. A measured value
-depends on its sample alone, not on the block it lands in, so the outcome
-is bit-identical for any worker count, including 1. A shard draws the
-swap targets of up to _DRAW_BLOCK samples with one
+The |hA| census, the exhaustive scan and the minima statistics run one
+job, `_job`. It chains the subsets its (draw, draw_args) sources yield,
+applies its measure to blocks of at most _DRAW_BLOCK of them, so it holds
+one block whatever its subset count, and counts the values; `_run_sharded`
+adds the jobs' Counters. A value depends on its subset alone, not on the
+block or job it lands in, so the outcome is bit-identical for any worker
+count. The census and the scan measure with one `fold_size` call per
+subset. The minima statistics count (i, h_i) pairs and take means and
+deviations from exact integer sums, converted to floats only at the end.
+
+Sampled runs split the samples over SHARD_COUNT shards, a number fixed
+whatever the worker count. Shard s is one source, `_shard_subsets`, which
+samples from its own counter-based Philox stream keyed by (seed, s), and
+each worker gets one job of contiguous shards. A shard draws the swap
+targets of up to _DRAW_BLOCK samples with one
 `rng.integers(lows, n, size=(rows, k))` call, lows = (0, 1, ..., k-1),
 and runs each row through a partial Fisher-Yates shuffle on a virtual
 array. numpy fills that array in row-major order, each element one
 bounded draw on [j, n) from the Philox stream, the draw a scalar
 `rng.integers(j, n)` call takes. So a block consumes the stream as k
 scalar calls per sample would, and the tests hold the sampler to that
-scalar one. A job holds at most one block of subsets and one of draws,
-whatever the sample count. The minima statistics count (i, h_i) pairs and
-take means and deviations from exact integer sums, converted to floats
-only in the final summary.
+scalar one.
 
-The exhaustive scan is sharded by the first element of each subset and
-walks each shard in lexicographic order, so consecutive subsets share
-their (k-1)-prefix P. With M_i the mask of iP - i*min(P), the mask of
+The exhaustive scan has one job per first element f. Its source yields
+the first C(n - f, k - 1) k-subsets of {f..n} in lexicographic order,
+exactly the k-subsets of [n] with least element f, so consecutive subsets
+share their (k-1)-prefix P. With M_i the mask of iP - i*min(P), the mask of
 h(P u {x}) - h*min(P) for any x > max(P) is
 OR_{j=0..h} (M_{h-j} << j*(x - min(P))), since h(P u {x}) is the union of
 (h-j)P + j*x with 0P = {0}. `fold_size` keeps the masks of the last P it
@@ -49,7 +52,7 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -65,7 +68,7 @@ SHARD_COUNT = 64
 
 DEFAULT_SUBSET_BUDGET = 5_000_000
 
-# Samples drawn per Generator.integers call in `_sample_subsets`.
+# Subsets per `_job` block, and samples per `_sample_subsets` draw call.
 _DRAW_BLOCK = 1024
 
 # Matrix entries (subsets times compositions) per block of `type_census`.
@@ -100,14 +103,7 @@ class ExperimentConfig:
             raise ValueError("workers must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "h": self.h,
-            "samples": self.samples,
-            "seed": self.seed,
-            "workers": self.workers,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -169,49 +165,52 @@ def _sample_subsets(rng: np.random.Generator, n: int, k: int, count: int):
             yield tuple(out)
 
 
-def _sampled_job(args) -> Counter:
-    """Counter of the values `measure` returns over the samples of a run of
-    contiguous shards. run holds (shard, count) pairs in shard order; their
-    samples are drawn in that order, each shard from its own stream, and
-    measured in blocks of at most _DRAW_BLOCK."""
-    n, k, seed, run, measure = args
-    subsets = itertools.chain.from_iterable(
-        _sample_subsets(_shard_rng(seed, shard), n, k, count) for shard, count in run
-    )
+def _shard_subsets(seed: int, shard: int, n: int, k: int, count: int):
+    """`_sample_subsets` on the shard's own stream, built when a job reaches it."""
+    return _sample_subsets(_shard_rng(seed, shard), n, k, count)
+
+
+def _job(args) -> Counter:
+    """Counter of the values `measure` returns over the subsets that the
+    sources, (draw, draw_args) pairs, yield as draw(*draw_args), chained in
+    source order and measured in blocks of at most _DRAW_BLOCK."""
+    sources, measure = args
+    subsets = itertools.chain.from_iterable(draw(*draw_args) for draw, draw_args in sources)
     counts: Counter = Counter()
     while block := list(itertools.islice(subsets, _DRAW_BLOCK)):
         counts.update(measure(block))
     return counts
 
 
-def _run_sharded(jobs, worker, workers: int) -> Counter:
-    """Run `worker` on every job and add up the Counters it returns, in job
-    order. Each job carries its own shards, so the sum does not depend on
+def _run_sharded(jobs, workers: int) -> Counter:
+    """Run `_job` on every job and add up the Counters it returns, in job
+    order. Each job carries its own sources, so the sum does not depend on
     `workers`, the most processes the jobs are spread over."""
     if workers < 1:
         raise ValueError("workers must be positive")
     processes = min(workers, len(jobs))
     total: Counter = Counter()
     if processes <= 1:
-        for part in map(worker, jobs):
+        for part in map(_job, jobs):
             total.update(part)
         return total
     with ProcessPoolExecutor(max_workers=processes) as pool:
-        for part in pool.map(worker, jobs):
+        for part in pool.map(_job, jobs):
             total.update(part)
     return total
 
 
 def _run_sampled(n: int, k: int, samples: int, seed: int, measure, workers: int) -> Counter:
-    """The Counter `_sampled_job` gives over all `samples` samples, with the
-    shards cut into min(workers, SHARD_COUNT) runs of contiguous shards."""
-    shards = list(enumerate(_shard_sizes(samples, SHARD_COUNT)))
+    """The Counter of `measure` over all `samples` samples, one source per
+    shard, in min(workers, SHARD_COUNT) jobs of contiguous shards."""
+    sizes = enumerate(_shard_sizes(samples, SHARD_COUNT))
+    sources = [(_shard_subsets, (seed, shard, n, k, count)) for shard, count in sizes]
     runs = min(workers, SHARD_COUNT)
     jobs = [
-        (n, k, seed, tuple(shards[SHARD_COUNT * r // runs : SHARD_COUNT * (r + 1) // runs]), measure)
+        (sources[SHARD_COUNT * r // runs : SHARD_COUNT * (r + 1) // runs], measure)
         for r in range(runs)
     ]
-    return _run_sharded(jobs, _sampled_job, workers)
+    return _run_sharded(jobs, workers)
 
 
 def _fold_sizes(h: int, block) -> list[int]:
@@ -252,12 +251,10 @@ def random_subset_experiment(config: ExperimentConfig) -> tuple[Histogram, dict]
     return hist, summary
 
 
-def _scan_shard(args) -> Counter:
-    n, k, h, first = args
-    counts: Counter = Counter()
-    for rest in itertools.combinations(range(first + 1, n + 1), k - 1):
-        counts[fold_size((first,) + rest, h)] += 1
-    return counts
+def _scan_subsets(n: int, k: int, first: int):
+    """The k-subsets of {1..n} with least element `first`, in lexicographic order."""
+    subsets = itertools.combinations(range(first, n + 1), k)
+    return itertools.islice(subsets, binomial(n - first, k - 1))
 
 
 def _subset_count(n: int, k: int) -> int:
@@ -275,16 +272,17 @@ def _subset_count(n: int, k: int) -> int:
 def exhaustive_scan(n: int, k: int, h: int, workers: int = 1) -> Histogram:
     """Exact frequency of every |hA| over all C(n, k) subsets of {1..n}.
 
-    Each shard fixes the first element and sizes its subsets with one
-    `fold_size` call each, in lexicographic order, so consecutive calls
-    share their (k-1)-prefix and `fold_size` folds each prefix once. The
-    result is identical for every worker count.
+    One job per first element sizes its subsets in lexicographic order
+    with one `fold_size` call each, as the census does, so `fold_size`
+    folds each shared (k-1)-prefix once. The result is identical for every
+    worker count.
     """
     if k < 1:
         raise ValueError("k must be positive")
     total = _subset_count(n, k)
-    jobs = [(n, k, h, first) for first in range(1, n - k + 2)]
-    return Histogram(dict(_run_sharded(jobs, _scan_shard, workers)), total)
+    measure = partial(_fold_sizes, h)
+    jobs = [(((_scan_subsets, (n, k, first)),), measure) for first in range(1, n - k + 2)]
+    return Histogram(dict(_run_sharded(jobs, workers)), total)
 
 
 def _minima_pairs(count: int, cap: int, block) -> list[tuple[int, int]]:
@@ -309,8 +307,8 @@ def minima_statistics(
     """Distribution of the first lattice minima over random k-subsets.
 
     For each sampled subset the first `count` successive minima are
-    computed exactly (up to the even norm cap), one block of the sampled
-    pipeline (see the module docstring) at a time, by
+    computed exactly (up to the even norm cap), one block of the job (see
+    the module docstring) at a time, by
     lattice._minima_values_block. Only their values are used, so k <= 4
     takes no lattice sweep. A sample whose i-th minimum exceeds the cap
     counts toward that minimum's truncation rate and is excluded from its

@@ -225,9 +225,12 @@ def lattice_shells(A: IntegerSet, cap: int) -> dict[int, list[tuple[int, ...]]]:
       steps between the tightest bounds are exactly the vectors in the ball.
 
     Only nodes that emit nothing are skipped, and vectors come out in the
-    order of a scan of every c of the class. c_{k-3}, the last scanned
-    coordinate, is looped over in the same frame as that step, so each of
-    its values costs no call.
+    order of a scan of every c of the class. That order is a contract that
+    `successive_minima` relies on: each scanned coordinate ascends, c
+    ascends along its class, and c_1..c_{k-2} fix the last two, so every
+    shell lists its vectors in strictly increasing lexicographic order.
+    c_{k-3}, the last scanned coordinate, is looped over in the same frame
+    as that step, so each of its values costs no call.
     """
     if A.k < 3:
         raise ValueError("coefficient lattice is trivial for k < 3")
@@ -344,7 +347,7 @@ def successive_minima(A: IntegerSet, count: int, cap: int) -> MinimaReport:
     minimizers: list[tuple[int, ...]] = []
     echelon = _IntegerEchelon()
     for norm in sorted(shells):
-        for vec in sorted(shells[norm]):
+        for vec in shells[norm]:
             if echelon.try_add(vec):
                 minima.append(norm)
                 minimizers.append(vec)

@@ -204,11 +204,9 @@ def sumset_profile(A: IntegerSet, horizon: int) -> SumsetProfile:
     deficits = tuple(composition_count(h, k) - sizes[h - 1] for h in range(1, horizon + 1))
     diffs = tuple(deficits[i] - deficits[i - 1] for i in range(1, horizon))
 
-    bh = 0
-    for h in range(1, horizon + 1):
-        if deficits[h - 1] != 0:
-            break
-        bh = h
+    # A coincidence at h gives one at h + 1 (add min A to both sides), so
+    # the zero deficits are a prefix and B_h holds up to their count.
+    bh = deficits.count(0)
 
     intercept = None
     window = max(3, k)

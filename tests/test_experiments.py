@@ -135,10 +135,12 @@ def test_each_shard_draws_once_per_block(monkeypatch, count):
     shard_rng = experiments._shard_rng
     monkeypatch.setattr(experiments, "_shard_rng", lambda seed, shard: CountingRng(shard_rng(seed, shard)))
     blocks = -(-count // 1024)
-    experiments._sampled_job((1000, 4, 3, ((5, count),), partial(experiments._fold_sizes, 10)))
+    source = (experiments._shard_subsets, (3, 5, 1000, 4, count))
+    experiments._job(((source,), partial(experiments._fold_sizes, 10)))
     assert len(sizes) == blocks and sum(rows for rows, _ in sizes) == count
     sizes.clear()
-    experiments._sampled_job((40, 4, 3, ((5, count),), partial(experiments._minima_pairs, 1, 8)))
+    source = (experiments._shard_subsets, (3, 5, 40, 4, count))
+    experiments._job(((source,), partial(experiments._minima_pairs, 1, 8)))
     assert len(sizes) == blocks and all(size[1] == 4 for size in sizes)
 
 
@@ -247,15 +249,28 @@ def test_fold_size_memo_follows_prefix_and_h(calls, cap):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
-def test_exhaustive_scan_matches_brute_force_and_per_subset_oracle(k, workers):
+def test_exhaustive_scan_matches_brute_force_and_per_subset_oracle(monkeypatch, k, workers):
     n, h = 10, 3
+    jobs = []
+    run_sharded = experiments._run_sharded
+    monkeypatch.setattr(experiments, "_run_sharded", lambda js, w: jobs.extend(js) or run_sharded(js, w))
     hist = exhaustive_scan(n, k, h, workers=workers)
     expected = brute_scan(n, k, h)
     assert hist.total == binomial(n, k) == sum(expected.values())
     assert Counter(hist.counts) == expected
-    for first in range(1, n - k + 2):
-        shard = (n, k, h, first)
-        assert experiments._scan_shard(shard) == scan_shard_oracle(shard)
+    # the scan runs one job per first element, each equal to the oracle shard
+    firsts = range(1, n - k + 2)
+    assert len(jobs) == len(firsts)
+    for first, job in zip(firsts, jobs):
+        assert experiments._job(job) == scan_shard_oracle((n, k, h, first))
+
+
+def test_scan_source_yields_the_subsets_with_each_least_element():
+    for n in range(1, 13):
+        for k in range(1, min(n, 5) + 1):
+            for first in range(1, n + 1):
+                rests = itertools.combinations(range(first + 1, n + 1), k - 1)
+                assert list(experiments._scan_subsets(n, k, first)) == [(first,) + rest for rest in rests]
 
 
 def test_config_validation():
@@ -489,12 +504,13 @@ def test_minima_statistics_matches_oracle_at_benchmark_shape(count):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_sharded_merges_like_a_counter_sum(workers):
     # 3000 samples in runs of 8 contiguous shards, several jobs
-    shards = list(enumerate(experiments._shard_sizes(3000, experiments.SHARD_COUNT)))
+    sizes = experiments._shard_sizes(3000, experiments.SHARD_COUNT)
+    sources = [(experiments._shard_subsets, (11, shard, 500, 4, count)) for shard, count in enumerate(sizes)]
     measure = partial(experiments._minima_pairs, 2, 64)
-    jobs = [(500, 4, 11, tuple(shards[i : i + 8]), measure) for i in range(0, len(shards), 8)]
+    jobs = [(sources[i : i + 8], measure) for i in range(0, len(sources), 8)]
     assert len(jobs) > workers
-    merged = experiments._run_sharded(jobs, experiments._sampled_job, workers)
-    summed = sum(map(experiments._sampled_job, jobs), Counter())
+    merged = experiments._run_sharded(jobs, workers)
+    summed = sum(map(experiments._job, jobs), Counter())
     assert list(merged.items()) == list(summed.items())
 
 
@@ -503,16 +519,17 @@ def test_shard_runs_cover_every_shard_in_order(monkeypatch, samples):
     calls = []
     monkeypatch.setattr(experiments, "_run_sharded", lambda *call: calls.append(call) or Counter())
     sizes = experiments._shard_sizes(samples, experiments.SHARD_COUNT)
+    shards = [(experiments._shard_subsets, (5, shard, 1000, 4, count)) for shard, count in enumerate(sizes)]
     measure = partial(experiments._fold_sizes, 3)
     for workers in (1, 2, 3, 7, 64, 65, 1000):
         calls.clear()
         experiments._run_sampled(1000, 4, samples, 5, measure, workers)
-        [(jobs, worker, passed)] = calls
-        assert worker is experiments._sampled_job and passed == workers
+        [(jobs, passed)] = calls
+        assert passed == workers
         # one nonempty run of contiguous shards per worker, up to one per shard
         assert len(jobs) == min(workers, experiments.SHARD_COUNT)
-        assert all(job[3] and job[:3] + job[4:] == (1000, 4, 5, measure) for job in jobs)
-        assert [pair for job in jobs for pair in job[3]] == list(enumerate(sizes))
+        assert all(sources and job_measure is measure for sources, job_measure in jobs)
+        assert [source for sources, _ in jobs for source in sources] == shards
 
 
 @pytest.mark.parametrize("samples", [1, 37, 65])
@@ -552,7 +569,8 @@ def test_pool_has_no_more_processes_than_jobs(monkeypatch):
     assert exhaustive_scan(14, 4, 3, workers=500) == serial  # 11 jobs, one per first element
     assert pools == [11]
     pools.clear()
-    assert experiments._run_sharded([(14, 4, 3, 1)], experiments._scan_shard, 500)
+    scan_job = (((experiments._scan_subsets, (14, 4, 1)),), partial(experiments._fold_sizes, 3))
+    assert experiments._run_sharded([scan_job], 500)
     assert pools == []  # one job runs in this process
     config = ExperimentConfig(n=300, k=4, h=5, samples=37, seed=6, workers=500)
     random_subset_experiment(config)

@@ -420,6 +420,13 @@ def test_report_serialization():
     assert isinstance(d["minimizers"][0], list)
 
 
+def assert_shells_sorted(shells):
+    # the lattice_shells contract successive_minima relies on: every shell
+    # lists its vectors in strictly increasing lexicographic order
+    for vecs in shells.values():
+        assert all(u < v for u, v in zip(vecs, vecs[1:]))
+
+
 def test_shells_match_scanning_oracle():
     # congruence stepping against the scanning enumerator on seeded sets
     # of either sign, k = 3..6, det = a_k - a_{k-1} up to 10^4
@@ -437,6 +444,7 @@ def test_shells_match_scanning_oracle():
         # key order and list order too: c_{k-3} is looped inline and must
         # emit as one call per value does
         assert list(shells.items()) == list(recursive_shells(A, cap).items())
+        assert_shells_sorted(shells)
 
 
 CONGRUENCE_EDGE_CASES = [
@@ -457,6 +465,7 @@ def test_shells_congruence_edge_cases(elems, cap):
     shells = lattice_shells(A, cap)
     assert sorted_shells(shells) == sorted_shells(scan_shells(A.elements, cap))
     assert list(shells.items()) == list(recursive_shells(A, cap).items())
+    assert_shells_sorted(shells)
     assert shells  # each case has vectors within its cap
 
 
@@ -485,6 +494,7 @@ def test_shells_match_order_oracle_at_swept_caps(count, k, elements, max_cap):
         cap = swept_cap(A, count, max_cap)
         items = list(lattice_shells(A, cap).items())
         assert items == list(recursive_shells(A, cap).items()), (A, cap)
+        assert_shells_sorted(dict(items))
         emitted += sum(len(vecs) for _, vecs in items)
     assert emitted > 100  # not a corpus of empty sweeps
 
