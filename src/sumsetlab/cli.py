@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import experiments, lattice, sumset, theory, types
-from .core import IntegerSet, RationalSet
+from .core import CapExceeded, IntegerSet, RationalSet
 
 _WORKERS_ENV = "SUMSETLAB_WORKERS"
 
@@ -397,7 +397,8 @@ def main(argv=None) -> int:
     try:
         args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        kind = f"{type(exc).__name__}: " if isinstance(exc, CapExceeded) else ""
+        print(f"error: {kind}{exc}", file=sys.stderr)
         return 1
     return 0
 

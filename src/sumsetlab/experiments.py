@@ -11,17 +11,25 @@ subset. The minima statistics count (i, h_i) pairs and take means and
 deviations from exact integer sums, converted to floats only at the end.
 
 Sampled runs split the samples over SHARD_COUNT shards, a number fixed
-whatever the worker count. Shard s is one source, `_shard_subsets`, which
-samples from its own counter-based Philox stream keyed by (seed, s), and
-each worker gets one job of contiguous shards. A shard draws the swap
-targets of up to _DRAW_BLOCK samples with one
-`rng.integers(lows, n, size=(rows, k))` call, lows = (0, 1, ..., k-1),
-and runs each row through a partial Fisher-Yates shuffle on a virtual
-array. numpy fills that array in row-major order, each element one
-bounded draw on [j, n) from the Philox stream, the draw a scalar
-`rng.integers(j, n)` call takes. So a block consumes the stream as k
-scalar calls per sample would, and the tests hold the sampler to that
-scalar one.
+whatever the worker count. Shard s samples from its own counter-based
+Philox stream, the one Philox(SeedSequence(seed, spawn_key=(s,))) starts.
+A run derives all SHARD_COUNT keys of those streams in one step,
+`_shard_keys`, with SeedSequence's own mixing: the seed's words once, then
+every shard's spawn-key word at once. Each worker gets one job of
+contiguous shards, whose one source, `_draw_subsets`, re-keys a single
+Philox bit generator to each shard in turn at the state a fresh one would
+have. So every stream is the one numpy would build for the shard, without
+building a SeedSequence or a Philox per shard.
+
+A shard draws the swap targets of up to _DRAW_BLOCK samples with one
+`rng.integers(lows, n, size=(rows, k))` call, lows = (0, 1, ..., k-1).
+numpy fills that array in row-major order, each element one bounded draw
+on [j, n) from the Philox stream, the draw a scalar `rng.integers(j, n)`
+call takes. So a block consumes the stream as k scalar calls per sample
+would. Each row holds the swap targets of a partial Fisher-Yates shuffle
+on a virtual array. The rows are joined across shards into blocks of
+_DRAW_BLOCK and unshuffled a column at a time, for all rows at once
+(`_unshuffle`); the tests hold the result to the scalar sampler.
 
 The exhaustive scan has one job per first element f. Its source yields
 the first C(n - f, k - 1) k-subsets of {f..n} in lexicographic order,
@@ -68,8 +76,17 @@ SHARD_COUNT = 64
 
 DEFAULT_SUBSET_BUDGET = 5_000_000
 
-# Subsets per `_job` block, and samples per `_sample_subsets` draw call.
+# Subsets per `_job` block; also the most samples one shard draws with one
+# `integers` call, and the rows `_draw_subsets` unshuffles at once.
 _DRAW_BLOCK = 1024
+
+# SeedSequence's pool size and hash and mix constants, as
+# numpy/random/bit_generator.pyx defines them.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 # Matrix entries (subsets times compositions) per block of `type_census`.
 _CENSUS_BLOCK = 2**14
@@ -131,43 +148,117 @@ def _shard_sizes(total: int, shards: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(shards)]
 
 
-def _shard_rng(seed: int, shard: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(seed, spawn_key=(shard,))
-    return np.random.Generator(np.random.Philox(ss))
-
-
 def _check_sampler_n(n: int) -> None:
     """The sampler draws int64 values on [j, n), so n - 1 must fit in one."""
     if n > 2**63:
         raise ValueError(f"sampled runs need n <= 2^63 = {2**63}")
 
 
-def _sample_subsets(rng: np.random.Generator, n: int, k: int, count: int):
-    """Yield `count` uniform k-subsets of {1..n}, each a sorted tuple, by a
-    partial Fisher-Yates shuffle on a virtual array (exactly uniform).
+def _hash_consts(init: int, mult: int):
+    """SeedSequence's running hash constant, as (before, after) each multiply."""
+    while True:
+        after = init * mult & _MASK32
+        yield init, after
+        init = after
 
-    One `rng.integers` call draws the swap targets of up to _DRAW_BLOCK
-    samples, one row of k per sample; the module docstring says why that
-    is the stream of k scalar draws per sample.
+
+def _hashmix(value, consts):
+    """SeedSequence's hashmix of a 32-bit word, or of a uint32 array of them."""
+    before, after = next(consts)
+    value = (value ^ before) * after & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of pool word x with a hashed word y."""
+    result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return result ^ result >> 16
+
+
+def _shard_keys(seed: int) -> list[tuple[int, int]]:
+    """The Philox key of every shard s, as two ints: the words of
+    SeedSequence(seed, spawn_key=(s,)).generate_state(2, np.uint64).
+
+    SeedSequence pads the seed's 32-bit words to its pool size, appends the
+    spawn key s and mixes the words in order, so everything before s is
+    mixed once, in Python ints, and s, the last word, as one uint32 array
+    over the shards."""
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    pool = [_hashmix(word, consts) for word in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+    for word in words[_POOL_SIZE:] + [np.arange(SHARD_COUNT, dtype=np.uint32)]:
+        pool = [_mix(x, _hashmix(word, consts)) for x in pool]
+    consts = _hash_consts(_INIT_B, _MULT_B)
+    lo0, hi0, lo1, hi1 = (_hashmix(x, consts).astype(np.uint64) for x in pool)
+    return list(zip((lo0 | hi0 << 32).tolist(), (lo1 | hi1 << 32).tolist()))
+
+
+def _unshuffle(draws: np.ndarray) -> list[tuple[int, ...]]:
+    """The samples of a block of swap targets, one sorted tuple per row.
+
+    Row (r_0, ..., r_{k-1}), r_j on [j, n), is a partial Fisher-Yates
+    shuffle of the virtual array 0, 1, ..., n-1: step j swaps positions j
+    and r_j, and the sample is every value it brings to position j, plus 1.
+    Steps after j never touch position j, so before step j a position p
+    holds what the latest earlier step i with r_i = p left there, the value
+    position i held before step i, or p itself if no earlier step hit it.
+    Each step takes both of its values that way, for all rows at once."""
+    rows, k = draws.shape
+    steps = np.arange(k)
+    row = np.arange(rows)[:, None]
+    left = np.zeros_like(draws)  # left[:, i]: what step i leaves at position r_i
+    out = np.empty_like(draws)
+    for j in range(k):
+        positions = np.stack((np.full(rows, j), draws[:, j]), axis=1)
+        hits = draws[:, None, :j] == positions[:, :, None]
+        latest = np.where(hits, steps[:j], -1).max(axis=2, initial=-1)
+        held = np.where(latest < 0, positions, left[row, latest])
+        left[:, j], out[:, j] = held[:, 0], held[:, 1]
+    out.sort(axis=1)
+    out = out.view(np.uint64)  # values lie on [0, n), n <= 2^63, so + 1 fits
+    out += 1
+    return list(map(tuple, out.tolist()))
+
+
+def _draw_subsets(n: int, k: int, shards):
+    """Yield the uniform k-subsets of {1..n}, each a sorted tuple, that a
+    run of contiguous shards ((key, count), ...) samples, in shard order.
+
+    One Philox bit generator is re-keyed to each shard's key, at the state
+    Philox(SeedSequence(seed, spawn_key=(s,))) starts from. Each shard
+    draws the swap targets of up to _DRAW_BLOCK samples with one
+    `integers` call; the draws are joined across shards into blocks of
+    _DRAW_BLOCK rows (the last may be shorter), each unshuffled at once.
     """
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": None},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,  # empty: the next draw computes a fresh block
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     lows = np.arange(k)
-    for start in range(0, count, _DRAW_BLOCK):
-        rows = min(_DRAW_BLOCK, count - start)
-        for row in rng.integers(lows, n, size=(rows, k)).tolist():
-            swap: dict[int, int] = {}
-            out = []
-            for j, r in enumerate(row):
-                vj = swap.get(j, j)
-                vr = swap.get(r, r)
-                swap[j], swap[r] = vr, vj
-                out.append(vr + 1)
-            out.sort()
-            yield tuple(out)
-
-
-def _shard_subsets(seed: int, shard: int, n: int, k: int, count: int):
-    """`_sample_subsets` on the shard's own stream, built when a job reaches it."""
-    return _sample_subsets(_shard_rng(seed, shard), n, k, count)
+    pending, rows = [], 0
+    for key, count in shards:
+        state["state"]["key"] = key
+        bitgen.state = state
+        for start in range(0, count, _DRAW_BLOCK):
+            pending.append(rng.integers(lows, n, size=(min(_DRAW_BLOCK, count - start), k)))
+            rows += len(pending[-1])
+            if rows >= _DRAW_BLOCK:
+                block = np.concatenate(pending)
+                yield from _unshuffle(block[:_DRAW_BLOCK])
+                pending, rows = [block[_DRAW_BLOCK:]], rows - _DRAW_BLOCK
+    if rows:
+        yield from _unshuffle(np.concatenate(pending))
 
 
 def _job(args) -> Counter:
@@ -201,15 +292,14 @@ def _run_sharded(jobs, workers: int) -> Counter:
 
 
 def _run_sampled(n: int, k: int, samples: int, seed: int, measure, workers: int) -> Counter:
-    """The Counter of `measure` over all `samples` samples, one source per
-    shard, in min(workers, SHARD_COUNT) jobs of contiguous shards."""
-    sizes = enumerate(_shard_sizes(samples, SHARD_COUNT))
-    sources = [(_shard_subsets, (seed, shard, n, k, count)) for shard, count in sizes]
+    """The Counter of `measure` over all `samples` samples, in
+    min(workers, SHARD_COUNT) jobs, each with one source that walks a run
+    of contiguous shards, (key, count) per shard."""
+    shards = tuple(zip(_shard_keys(seed), _shard_sizes(samples, SHARD_COUNT)))
     runs = min(workers, SHARD_COUNT)
-    jobs = [
-        (sources[SHARD_COUNT * r // runs : SHARD_COUNT * (r + 1) // runs], measure)
-        for r in range(runs)
-    ]
+    starts = [SHARD_COUNT * r // runs for r in range(runs)]
+    ends = starts[1:] + [SHARD_COUNT]
+    jobs = [(((_draw_subsets, (n, k, shards[a:b])),), measure) for a, b in zip(starts, ends)]
     return _run_sharded(jobs, workers)
 
 

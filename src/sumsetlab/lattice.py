@@ -60,7 +60,11 @@ from math import gcd
 
 import numpy as np
 
-from .core import IntegerSet, _integral
+from .core import CapExceeded, IntegerSet, _integral
+
+# Vectors one `lattice_shells` sweep may emit (rank k - 2 balls grow as
+# cap^(k-2), so a k >= 5 sweep at a large cap fills memory and runs for hours).
+DEFAULT_VECTOR_BUDGET = 250_000
 
 
 def _difference_kernel(a: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -231,6 +235,10 @@ def lattice_shells(A: IntegerSet, cap: int) -> dict[int, list[tuple[int, ...]]]:
     shell lists its vectors in strictly increasing lexicographic order.
     c_{k-3}, the last scanned coordinate, is looped over in the same frame
     as that step, so each of its values costs no call.
+
+    Before a value of c_{k-3} emits its steps, they are added to a running
+    count, and the sweep raises CapExceeded once the count passes
+    DEFAULT_VECTOR_BUDGET.
     """
     if A.k < 3:
         raise ValueError("coefficient lattice is trivial for k < 3")
@@ -251,8 +259,11 @@ def lattice_shells(A: IntegerSet, cap: int) -> dict[int, list[tuple[int, ...]]]:
     shells: dict[int, list[tuple[int, ...]]] = {}
     prefix = [0] * (k - 3)
     last = k - 4  # index of c_{k-3}, the last scanned coordinate; -1 at k = 3
+    limit = DEFAULT_VECTOR_BUDGET
+    emitted = -1  # the walk passes the zero vector once and does not emit it
 
     def assign(i: int, budget: int, leading: bool, s: int, d: int) -> None:
+        nonlocal emitted
         xs = range(0 if leading else -((budget + s) // 2), (budget - s) // 2 + 1)
         if i < last:
             ai = a[i]
@@ -284,6 +295,9 @@ def lattice_shells(A: IntegerSet, cap: int) -> dict[int, list[tuple[int, ...]]]:
             t1 = min((yhi - c) // m, (cm1 - ylo) // nq, (yhi - ck) // w)
             if t0 > t1:
                 continue
+            emitted += t1 - t0 + 1
+            if emitted > limit:
+                raise CapExceeded(f"lattice sweep to norm {cap} passes {limit} vectors")
             head = (*pre, x)[: k - 3]
             used = cap - rest
             cm1 -= nq * t0

@@ -11,6 +11,7 @@ import pytest
 
 import sumsetlab
 from sumsetlab import core, experiments, lattice, sumset, theory, types
+from sumsetlab.cli import main
 from sumsetlab.core import CapExceeded, IntegerSet
 
 MODULES = (core, sumset, lattice, theory, types, experiments)
@@ -82,6 +83,7 @@ def test_readme_lists_every_budget_constant():
         "types.DEFAULT_POWER_BIT_BUDGET",
         "types.PRECISION_SCHEDULE",
         "types.DILATION_STEP_BUDGET",
+        "lattice.DEFAULT_VECTOR_BUDGET",
     } <= constants.keys()
     assert listed == constants
 
@@ -116,3 +118,36 @@ def test_fold_budget_leaves_the_shared_prefix_path_alone(monkeypatch):
     assert sumset.fold_size(elements, 10) == expected
     with pytest.raises(CapExceeded):
         sumset.fold_sizes(elements, 10)
+
+
+@pytest.mark.parametrize("elements, cap", [
+    ((0, 1, 3), 64),
+    ((1, 5, 96, 100), 400),
+    ((4, 9, 31, 44, 60), 40),
+    ((0, 1, 2, 3, 4, 5), 12),
+])
+def test_vector_budget_bounds_a_lattice_sweep(monkeypatch, elements, cap):
+    # the count is exact: a sweep of `total` vectors passes at a budget of
+    # `total` and raises at one less, before it emits the vector past it
+    A = IntegerSet(elements)
+    total = sum(map(len, lattice.lattice_shells(A, cap).values()))
+    assert total > 1
+    monkeypatch.setattr(lattice, "DEFAULT_VECTOR_BUDGET", total)
+    assert sum(map(len, lattice.lattice_shells(A, cap).values())) == total
+    monkeypatch.setattr(lattice, "DEFAULT_VECTOR_BUDGET", total - 1)
+    with pytest.raises(CapExceeded, match=f"lattice sweep to norm {cap} passes {total - 1} vectors"):
+        lattice.lattice_shells(A, cap)
+    with pytest.raises(CapExceeded):
+        lattice.successive_minima(A, A.k - 2, cap)
+
+
+def test_vector_budget_stops_k6_minima_statistics(monkeypatch, capsys):
+    # k = 6 sweeps at the reduced-basis cap of every sample; at a budget
+    # of 100 vectors some sample's sweep passes it
+    monkeypatch.setattr(lattice, "DEFAULT_VECTOR_BUDGET", 100)
+    with pytest.raises(CapExceeded, match="passes 100 vectors"):
+        experiments.minima_statistics(10_000, 6, 20, seed=11, cap=1024, count=4)
+    argv = ["experiment", "minima-stats", "--n", "10000", "--k", "6", "--samples", "20",
+            "--seed", "11", "--cap", "1024", "--count", "4"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: CapExceeded: lattice sweep to norm ")

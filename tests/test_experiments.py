@@ -39,14 +39,20 @@ def scan_shard_oracle(args) -> Counter:
     return counts
 
 
-def sample_subset_oracle(rng, n, k):
-    """Slow oracle: the scalar sampler, k `rng.integers` calls per sample.
-    Uniform k-subset of {1..n} via a partial Fisher-Yates shuffle on a
-    virtual array (exactly uniform, O(k) memory)."""
+def shard_rng(seed, shard) -> np.random.Generator:
+    """Oracle: the shard's own stream, a Philox generator seeded by
+    SeedSequence(seed, spawn_key=(shard,))."""
+    ss = np.random.SeedSequence(seed, spawn_key=(shard,))
+    return np.random.Generator(np.random.Philox(ss))
+
+
+def fisher_yates_oracle(targets):
+    """Slow oracle: the scalar unshuffle of one row of swap targets, a
+    partial Fisher-Yates shuffle on a virtual array (exactly uniform, O(k)
+    memory)."""
     swap: dict[int, int] = {}
     out = []
-    for j in range(k):
-        r = int(rng.integers(j, n))
+    for j, r in enumerate(targets):
         vj = swap.get(j, j)
         vr = swap.get(r, r)
         swap[j], swap[r] = vr, vj
@@ -55,12 +61,59 @@ def sample_subset_oracle(rng, n, k):
     return tuple(out)
 
 
+def sample_subset_oracle(rng, n, k):
+    """Slow oracle: the scalar sampler, k `rng.integers` calls per sample,
+    uniform k-subset of {1..n}."""
+    return fisher_yates_oracle([int(rng.integers(j, n)) for j in range(k)])
+
+
+def shard_subsets_oracle(seed, shard, n, k, count):
+    """Slow oracle: the shard's `count` samples from its own stream."""
+    rng = shard_rng(seed, shard)
+    return [sample_subset_oracle(rng, n, k) for _ in range(count)]
+
+
 def random_shard_oracle(args) -> Counter:
     """Slow oracle: the census shard with the scalar sampler and one
     unshared fold per sample."""
     n, k, h, seed, shard, count = args
-    rng = experiments._shard_rng(seed, shard)
-    return Counter(sumset._fold(sample_subset_oracle(rng, n, k), h)[0][-1] for _ in range(count))
+    return Counter(sumset._fold(subset, h)[0][-1] for subset in shard_subsets_oracle(seed, shard, n, k, count))
+
+
+def shard_run(seed, counts):
+    """A run of contiguous shards from shard 0, as `_draw_subsets` takes it."""
+    return tuple(zip(experiments._shard_keys(seed), counts))
+
+
+REAL_GENERATOR = np.random.Generator
+
+
+class RecordingGenerator:
+    """A Generator that records the size of every `integers` call and the
+    bit generator's state just before it."""
+
+    def __init__(self, bitgen, calls):
+        self._rng = REAL_GENERATOR(bitgen)
+        self._calls = calls
+
+    def integers(self, *args, **kwargs):
+        self._calls.append((kwargs["size"], plain_state(self._rng.bit_generator.state)))
+        return self._rng.integers(*args, **kwargs)
+
+
+def plain_state(state):
+    """A bit generator state with its arrays as lists, so states compare with ==."""
+    if isinstance(state, dict):
+        return {key: plain_state(value) for key, value in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+def recorded_draws(mp) -> list:
+    """Patch np.random.Generator, which `_draw_subsets` builds, with a
+    RecordingGenerator, and return its list of (size, state) calls."""
+    calls: list = []
+    mp.setattr(np.random, "Generator", lambda bitgen: RecordingGenerator(bitgen, calls))
+    return calls
 
 
 @st.composite
@@ -84,11 +137,101 @@ def sampler_shapes(draw):
 @example(shape=(2**62, 8), count=3000, seed=5, shard=0)
 def test_batched_sampler_matches_scalar_oracle(shape, count, seed, shard):
     n, k = shape
-    batched, scalar = experiments._shard_rng(seed, shard), experiments._shard_rng(seed, shard)
-    subsets = list(experiments._sample_subsets(batched, n, k, count))
+    scalar = shard_rng(seed, shard)
+    with pytest.MonkeyPatch.context() as mp:
+        made = []
+        mp.setattr(np.random, "Generator", lambda bitgen: made.append(REAL_GENERATOR(bitgen)) or made[-1])
+        key = experiments._shard_keys(seed)[shard]
+        subsets = list(experiments._draw_subsets(n, k, ((key, count),)))
     assert subsets == [sample_subset_oracle(scalar, n, k) for _ in range(count)]
     # Both generators are left at the same point of the stream.
+    [batched] = made
     assert batched.integers(0, n) == scalar.integers(0, n)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64, 2**128, 2**200 + 7])
+def test_shard_keys_match_seed_sequence(seed):
+    # seeds of 1, 1, 2, 3, 5 and 7 32-bit words: below, at and past the pool of 4
+    keys = experiments._shard_keys(seed)
+    assert len(keys) == experiments.SHARD_COUNT
+    for shard, key in enumerate(keys):
+        ss = np.random.SeedSequence(seed, spawn_key=(shard,))
+        assert key == tuple(ss.generate_state(2, np.uint64).tolist())
+        assert all(type(word) is int for word in key)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64, 2**200 + 7])
+def test_rekeyed_state_is_a_fresh_philox(seed):
+    # each shard's first draw starts from the state a new Philox of its
+    # SeedSequence has: counter 0, empty buffer, no cached uint32
+    counts = [3, 0, 1, 1024, 5] + [0] * 58 + [2]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = recorded_draws(mp)
+        list(experiments._draw_subsets(50, 4, shard_run(seed, counts)))
+    drawn = [shard for shard, count in enumerate(counts) if count]
+    assert len(calls) == len(drawn)
+    for shard, (_, state) in zip(drawn, calls):
+        fresh = np.random.Philox(np.random.SeedSequence(seed, spawn_key=(shard,)))
+        assert state == plain_state(fresh.state)
+
+
+@st.composite
+def target_blocks(draw):
+    # targets r_j on [j, n) with n close to k, so they repeat earlier
+    # targets (r_j = r_i) and stay put (r_j = j) often
+    k = draw(st.integers(1, 7))
+    n = draw(st.integers(k, k + 3))
+    rows = draw(st.integers(1, 12))
+    return n, [[draw(st.integers(j, n - 1)) for j in range(k)] for _ in range(rows)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(target_blocks())
+def test_unshuffle_matches_scalar_fisher_yates(block):
+    n, rows = block
+    out = experiments._unshuffle(np.array(rows, dtype=np.int64))
+    assert out == [fisher_yates_oracle(row) for row in rows]
+    assert all(len(set(s)) == len(s) and 1 <= min(s) <= max(s) <= n for s in out)
+
+
+def test_unshuffle_follows_repeated_targets():
+    rows = [
+        [3, 3, 3, 3, 4],  # every step swaps with position 3
+        [0, 1, 2, 3, 4],  # r_j = j: the identity
+        [4, 4, 2, 4, 4],  # r_j = r_i, and r_2 = 2 between them
+        [1, 1, 4, 4, 4],  # r_1 = 1 after r_0 = 1
+        [2, 4, 2, 4, 4],
+    ]
+    out = experiments._unshuffle(np.array(rows, dtype=np.int64))
+    assert out == [fisher_yates_oracle(row) for row in rows]
+    assert out[:4] == [(1, 2, 3, 4, 5)] * 4
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (9, 1), (2**63, 1), (6, 6), (8, 8)])
+def test_sampler_at_k_one_and_k_equal_to_n(n, k):
+    counts = [700, 0, 1025]
+    subsets = list(experiments._draw_subsets(n, k, shard_run(4, counts)))
+    expected = [s for shard, count in enumerate(counts) for s in shard_subsets_oracle(4, shard, n, k, count)]
+    assert subsets == expected
+    if n == k:
+        assert set(subsets) == {tuple(range(1, n + 1))}
+
+
+def test_largest_draw_at_n_two_to_the_63_does_not_overflow():
+    # a faked draw of 2^63 - 1 in every column: step 0 brings 2^63 - 1 to
+    # the front, and each later step the value the one before left there
+    class MaxGenerator:
+        def __init__(self, bitgen):
+            pass
+
+        def integers(self, lows, n, size):
+            return np.full(size, n - 1, dtype=np.int64)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "Generator", MaxGenerator)
+        subsets = list(experiments._draw_subsets(2**63, 4, shard_run(1, [2, 1])))
+    assert subsets == [(1, 2, 3, 2**63)] * 3
+    assert all(type(x) is int for x in subsets[0])
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -122,26 +265,16 @@ def test_census_sizes_each_sample_with_one_fold_size_call(monkeypatch):
 
 @pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 3000])
 def test_each_shard_draws_once_per_block(monkeypatch, count):
-    sizes = []
-
-    class CountingRng:
-        def __init__(self, rng):
-            self._rng = rng
-
-        def integers(self, *args, **kwargs):
-            sizes.append(kwargs["size"])
-            return self._rng.integers(*args, **kwargs)
-
-    shard_rng = experiments._shard_rng
-    monkeypatch.setattr(experiments, "_shard_rng", lambda seed, shard: CountingRng(shard_rng(seed, shard)))
+    sizes = recorded_draws(monkeypatch)
     blocks = -(-count // 1024)
-    source = (experiments._shard_subsets, (3, 5, 1000, 4, count))
+    key = experiments._shard_keys(3)[5]
+    source = (experiments._draw_subsets, (1000, 4, ((key, count),)))
     experiments._job(((source,), partial(experiments._fold_sizes, 10)))
-    assert len(sizes) == blocks and sum(rows for rows, _ in sizes) == count
+    assert len(sizes) == blocks and sum(rows for (rows, _), _ in sizes) == count
     sizes.clear()
-    source = (experiments._shard_subsets, (3, 5, 40, 4, count))
+    source = (experiments._draw_subsets, (40, 4, ((key, count),)))
     experiments._job(((source,), partial(experiments._minima_pairs, 1, 8)))
-    assert len(sizes) == blocks and all(size[1] == 4 for size in sizes)
+    assert len(sizes) == blocks and all(size[1] == 4 for size, _ in sizes)
 
 
 def _size_or_cap(elements, h, cap, size=fold_size):
@@ -413,7 +546,7 @@ def test_minima_statistics_two_minima():
 def minima_shard_oracle(args):
     """Slow oracle: the per-minimum shard with four parallel lists."""
     n, k, seed, shard, count, cap, minima_count = args
-    rng = experiments._shard_rng(seed, shard)
+    rng = shard_rng(seed, shard)
     hist: Counter = Counter()
     found = [0] * minima_count
     sums = [0] * minima_count
@@ -504,10 +637,9 @@ def test_minima_statistics_matches_oracle_at_benchmark_shape(count):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_sharded_merges_like_a_counter_sum(workers):
     # 3000 samples in runs of 8 contiguous shards, several jobs
-    sizes = experiments._shard_sizes(3000, experiments.SHARD_COUNT)
-    sources = [(experiments._shard_subsets, (11, shard, 500, 4, count)) for shard, count in enumerate(sizes)]
+    shards = shard_run(11, experiments._shard_sizes(3000, experiments.SHARD_COUNT))
     measure = partial(experiments._minima_pairs, 2, 64)
-    jobs = [(sources[i : i + 8], measure) for i in range(0, len(sources), 8)]
+    jobs = [(((experiments._draw_subsets, (500, 4, shards[i : i + 8])),), measure) for i in range(0, len(shards), 8)]
     assert len(jobs) > workers
     merged = experiments._run_sharded(jobs, workers)
     summed = sum(map(experiments._job, jobs), Counter())
@@ -518,8 +650,7 @@ def test_run_sharded_merges_like_a_counter_sum(workers):
 def test_shard_runs_cover_every_shard_in_order(monkeypatch, samples):
     calls = []
     monkeypatch.setattr(experiments, "_run_sharded", lambda *call: calls.append(call) or Counter())
-    sizes = experiments._shard_sizes(samples, experiments.SHARD_COUNT)
-    shards = [(experiments._shard_subsets, (5, shard, 1000, 4, count)) for shard, count in enumerate(sizes)]
+    shards = shard_run(5, experiments._shard_sizes(samples, experiments.SHARD_COUNT))
     measure = partial(experiments._fold_sizes, 3)
     for workers in (1, 2, 3, 7, 64, 65, 1000):
         calls.clear()
@@ -528,8 +659,13 @@ def test_shard_runs_cover_every_shard_in_order(monkeypatch, samples):
         assert passed == workers
         # one nonempty run of contiguous shards per worker, up to one per shard
         assert len(jobs) == min(workers, experiments.SHARD_COUNT)
-        assert all(sources and job_measure is measure for sources, job_measure in jobs)
-        assert [source for sources, _ in jobs for source in sources] == shards
+        runs = []
+        for sources, job_measure in jobs:
+            [(draw, (n, k, run))] = sources
+            assert draw is experiments._draw_subsets and (n, k) == (1000, 4)
+            assert run and job_measure is measure
+            runs.append(run)
+        assert tuple(itertools.chain.from_iterable(runs)) == shards
 
 
 @pytest.mark.parametrize("samples", [1, 37, 65])

@@ -356,6 +356,33 @@ def test_minima_against_naive_independence():
                 assert all(v[i] * y1[j] == v[j] * y1[i] for i in range(4) for j in range(4))
 
 
+def greedy_ball_minima(A: IntegerSet, count: int, cap: int):
+    """Oracle that shares no code with lattice_shells: the canonical
+    vectors of naive_ball(A, cap), sorted by (norm, vector), each kept
+    when the rational rank test finds it independent of those kept before.
+    The first `count` kept are the minimizers MinimaReport promises: the
+    lexicographically least at each norm."""
+    canonical = {v if next(x for x in v if x) > 0 else tuple(-x for x in v) for v in naive_ball(A, cap)}
+    echelon = RationalEchelonOracle()
+    minima, minimizers = [], []
+    for vec in sorted(canonical, key=lambda v: (sum(map(abs, v)), v)):
+        if len(minima) < count and echelon.try_add(vec):
+            minima.append(sum(map(abs, vec)))
+            minimizers.append(vec)
+    return tuple(minima), tuple(minimizers)
+
+
+@pytest.mark.parametrize("k, span", [(5, 60), (6, 30)])
+def test_k5_k6_minimizers_match_greedy_naive_ball(k, span):
+    rng = random.Random(2024 + k)
+    for _ in range(25):
+        A = IntegerSet(rng.sample(range(span), k))
+        for count in range(1, k - 1):
+            rep = find_minima(A, count, max_cap=4096)
+            assert not rep.truncated
+            assert (rep.minima, rep.minimizers) == greedy_ball_minima(A, count, rep.minima[-1])
+
+
 def test_minima_invariants():
     rng = random.Random(777)
     for _ in range(20):
@@ -871,9 +898,9 @@ def test_minima_values_block_guards(monkeypatch, sets, fallback, count):
 def test_minima_values_block_samples_past_int64(monkeypatch):
     # the sampler's largest n: elements up to 2^63, which no int64 holds;
     # every spread is far past 2^31, so every set takes the fallback
-    from sumsetlab.experiments import _sample_subsets, _shard_rng
+    from sumsetlab.experiments import _draw_subsets, _shard_keys
 
-    sets = list(_sample_subsets(_shard_rng(3, 0), 2**63, 4, 30))
+    sets = list(_draw_subsets(2**63, 4, ((_shard_keys(3)[0], 30),)))
     assert max(max(s) for s in sets) >= 2**62
     expected = per_set_minima_values(sets, 2, 64)
     seen = recorded_fallbacks(monkeypatch)
