@@ -33,21 +33,19 @@ positive). A completed sweep up to norm `cap` proves there is no
 undiscovered vector of norm <= cap, which is what makes the reported
 minima exact rather than best-found.
 
-What remains is choosing the cap. `find_minima` reduces the kernel basis
-in the L1 norm, greedily, by the step of Gauss reduction generalised to
-an arbitrary norm (Kaib & Schnorr, "The generalized Gauss reduction
-algorithm", J. Algorithms 21, 1996). Any `count` independent lattice
-vectors bound lambda_count by their largest norm, so one sweep at that
-bound certifies the minima and their minimizers, for every k. At k = 3
-the bound is the one basis vector's norm, and at k = 4 it is exactly
-lambda_count. So at rank <= 2 the minima values come from the reduced
-basis alone, with no sweep (`_minima_values`); the minimizers, and the
-minima at k >= 5, still take that one sweep.
+What remains is choosing the cap. At rank <= 2 (k <= 4) the kernel
+basis Gauss-reduced in the L1 norm (Kaib & Schnorr, "The generalized
+Gauss reduction algorithm", J. Algorithms 21, 1996) has norms exactly
+lambda_1 and lambda_2, so `find_minima` sweeps once at lambda_count, and
+the minima values need no sweep at all (`_minima_values`). At k >= 5
+there is no such reduction, and `find_minima` sweeps at caps 4, 8, 16,
+... until one sweep finds `count` independent vectors; a completed sweep
+at any cap >= lambda_count certifies the same minima and minimizers.
 
 Many sets at once (`_minima_values_block`, the minima statistics' path)
 run those rank <= 2 values as int64 array steps over a block of sets:
 the Euclid of `_difference_kernel` with its pivot rule and floor
-division, then the rank-2 L1 step of `_l1_reduce`. Runtime guards keep
+division, then the Gauss step of `_gauss_norms`. Runtime guards keep
 int64 exact, and a set that fails one goes through `_minima_values`;
 `_minima_values_block` states them.
 """
@@ -374,76 +372,70 @@ def _l1(v) -> int:
     return sum(map(abs, v))
 
 
-def _l1_reduce(rows) -> list[list[int]]:
-    """The rows of a lattice basis, reduced in the L1 norm and sorted by it.
+def _gauss_norms(A: IntegerSet) -> list[int]:
+    """lambda_1, ..., lambda_{k-2} at rank k - 2 <= 2, from the kernel basis.
 
-    The rows are kept sorted by norm, and each is replaced in turn by its
-    shortest b - mu*r over every shorter row r, mu integral. ||b - t*r|| is
-    convex and piecewise linear in t with breakpoints b_i / r_i, so a real
-    minimizer is a breakpoint and an integral one is its floor or that
-    plus 1. When a row comes out shorter than the row before it, the rows
-    are re-sorted and the pass starts again from the second row; each
-    restart follows a step that shortened a row, so the loop ends. The rows
-    stay a basis of the same lattice, so the i-th norm is at least
-    lambda_i. At rank 2 this is Kaib & Schnorr's Gauss reduction in the L1
-    norm, and the two norms are exactly lambda_1 and lambda_2; at rank 1 it
-    returns the one row.
+    At rank 1 that is the one row's norm. At rank 2 it is Kaib & Schnorr's
+    Gauss reduction in the L1 norm: with r the shorter row, b is replaced
+    by its shortest b - mu*r, mu integral, and the two swap and repeat
+    while b comes out shorter than r; each swap shortens r, so the loop
+    ends, and the final norms are exactly lambda_1 and lambda_2.
+    ||b - t*r|| is convex and piecewise linear in t with breakpoints
+    b_i / r_i, so a real minimizer is a breakpoint and an integral one is
+    its floor or that plus 1. The caller checks k <= 4 first.
     """
-    rows = sorted(map(list, rows), key=_l1)
-    i = 1
-    while i < len(rows):
-        b = rows[i]
-        for r in rows[:i]:
-            mus = {y // x + e for x, y in zip(r, b) if x for e in (0, 1)}
-            b = min(([y - mu * x for x, y in zip(r, b)] for mu in mus), key=_l1)
-        rows[i] = b
-        if _l1(b) < _l1(rows[i - 1]):
-            rows.sort(key=_l1)
-            i = 1
-        else:
-            i += 1
-    return rows
-
-
-def _reduced_norms(A: IntegerSet, count: int) -> list[int]:
-    """The norms of the first `count` rows of the L1-reduced kernel basis
-    (see _l1_reduce), ascending. The caller checks k and count first."""
-    return [_l1(row) for row in _l1_reduce(_difference_kernel(A.elements))[:count]]
+    rows = _difference_kernel(A.elements)
+    if len(rows) == 1:
+        return [_l1(rows[0])]
+    r, b = sorted(rows, key=_l1)
+    while True:
+        mus = {y // x + e for x, y in zip(r, b) if x for e in (0, 1)}
+        b = min(([y - mu * x for x, y in zip(r, b)] for mu in mus), key=_l1)
+        if _l1(b) >= _l1(r):
+            return [_l1(r), _l1(b)]
+        r, b = b, r
 
 
 def find_minima(A: IntegerSet, count: int, max_cap: int = 4096) -> MinimaReport:
-    """successive_minima in one sweep, at a cap the reduced basis certifies.
+    """successive_minima at the first cap that certifies it, up to max_cap.
 
-    The first `count` rows of the L1-reduced kernel basis (see _l1_reduce)
-    are independent, so U, the largest of their norms, is at least
-    lambda_count. One sweep at min(U, max_cap) enumerates every vector up
-    to that norm, so its minima and canonical minimizers are certified by
-    the sweep itself, and it comes back truncated exactly when
-    lambda_count > max_cap. The sweep's report is returned as it is: its
-    cap is the radius swept, which is max_cap when the report is
-    truncated. count and max_cap are checked up front, as
-    successive_minima checks count and cap.
+    A sweep completed at a cap c >= lambda_count has the minima and
+    canonical minimizers of every larger sweep: shells go in norm order,
+    and vectors within a shell in lexicographic order, so the greedy
+    choice sees the same vectors up to lambda_count. At k <= 4 the first
+    cap is lambda_count itself (see _gauss_norms), so one sweep suffices.
+    At k >= 5 the caps are 4, 8, 16, ..., and the loop stops at the first
+    sweep that is not truncated, whose cap is below 2*lambda_count. Every
+    cap is clipped to max_cap, and a sweep at max_cap ends the loop, so
+    the report comes back truncated exactly when lambda_count > max_cap.
+    The last sweep's report is returned as it is: its cap is the radius
+    swept, which is max_cap when the report is truncated. count and
+    max_cap are checked up front, as successive_minima checks count and
+    cap.
 
     The sweep is only needed for the minimizers, and for the minima at
-    k >= 5: at k <= 4 the reduced norms are the minima themselves, and
-    _minima_values returns them without a sweep.
+    k >= 5: _minima_values takes the k <= 4 minima from _gauss_norms alone.
     """
     _check_minima_args(A.k, count, max_cap)
-    return successive_minima(A, count, min(_reduced_norms(A, count)[-1], max_cap))
+    cap = min(_gauss_norms(A)[count - 1] if A.k <= 4 else 4, max_cap)
+    while True:
+        report = successive_minima(A, count, cap)
+        if not report.truncated or cap == max_cap:
+            return report
+        cap = min(2 * cap, max_cap)
 
 
 def _minima_values(A: IntegerSet, count: int, max_cap: int) -> tuple[int, ...]:
     """find_minima(A, count, max_cap).minima, without its minimizers.
 
-    At k >= 5 that is what it returns. At rank <= 2 (k <= 4) the reduced
-    norms are lambda_1, ..., lambda_count (see _l1_reduce), so no sweep
-    runs; those above max_cap are dropped, as a sweep at max_cap would not
-    reach them.
+    At k >= 5 that is what it returns. At rank <= 2 (k <= 4) the Gauss
+    norms are lambda_1, ..., lambda_count, so no sweep runs; those above
+    max_cap are dropped, as a sweep at max_cap would not reach them.
     """
     if A.k > 4:
         return find_minima(A, count, max_cap).minima
     _check_minima_args(A.k, count, max_cap)
-    return tuple(m for m in _reduced_norms(A, count) if m <= max_cap)
+    return tuple(m for m in _gauss_norms(A)[:count] if m <= max_cap)
 
 
 # A block holds only sets whose elements lie within +-_INT64_MAX, and runs
@@ -488,8 +480,8 @@ def _kernel_block(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _reduced_norms_block(r: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two norms of _l1_reduce([r_i, b_i]) for every row pair, smaller
-    first, when every row has L1 norm below _INT64_GUARD.
+    """The two Gauss norms of every row pair (r_i, b_i) (see _gauss_norms),
+    smaller first, when every row has L1 norm below _INT64_GUARD.
 
     The same steps as the per-set loop: order the pair by norm, replace b
     by its shortest b - mu*r over mu = floor(b_j / r_j) and that plus 1,
@@ -533,7 +525,7 @@ def _minima_values_block(sets, count: int, max_cap: int) -> list[tuple[int, ...]
     sorted tuples s of distinct integers, with the sets of size k <= 4 taken
     a block at a time in int64.
 
-    The block runs _difference_kernel and _l1_reduce as array steps over
+    The block runs _difference_kernel and _gauss_norms as array steps over
     all its sets (_kernel_block, _reduced_norms_block). Exactness rests on
     runtime guards, not on a bound proven in advance: a set joins the block
     only if its elements fit int64 and a_k - a_1 < 2^31, so every

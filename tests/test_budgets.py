@@ -142,8 +142,8 @@ def test_vector_budget_bounds_a_lattice_sweep(monkeypatch, elements, cap):
 
 
 def test_vector_budget_stops_k6_minima_statistics(monkeypatch, capsys):
-    # k = 6 sweeps at the reduced-basis cap of every sample; at a budget
-    # of 100 vectors some sample's sweep passes it
+    # k = 6 sweeps every sample by cap doubling; at a budget of 100
+    # vectors some sample's last sweep passes it
     monkeypatch.setattr(lattice, "DEFAULT_VECTOR_BUDGET", 100)
     with pytest.raises(CapExceeded, match="passes 100 vectors"):
         experiments.minima_statistics(10_000, 6, 20, seed=11, cap=1024, count=4)

@@ -5,7 +5,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumsetlab import lattice
@@ -210,7 +210,9 @@ def recursive_shells(A: IntegerSet, cap: int) -> dict[int, list[tuple[int, ...]]
 
 def doubling_find_minima(A: IntegerSet, count: int, max_cap: int) -> lattice.MinimaReport:
     """Slow oracle for find_minima: sweep 16, 32, 64, ... (clipped to
-    max_cap) until the requested minima appear or max_cap is reached."""
+    max_cap) until the requested minima appear or max_cap is reached. Its
+    caps are not find_minima's, so the two agree only because a completed
+    sweep at any cap >= lambda_count certifies the same report."""
     cap = min(16, max_cap)
     while True:
         report = successive_minima(A, count, cap)
@@ -219,23 +221,36 @@ def doubling_find_minima(A: IntegerSet, count: int, max_cap: int) -> lattice.Min
         cap = min(cap * 2, max_cap)
 
 
-def reduced_norms(rows) -> tuple[int, ...]:
-    return tuple(sum(map(abs, row)) for row in lattice._l1_reduce(rows))
+def swept_caps(A: IntegerSet, count: int, max_cap: int) -> list[int]:
+    """The caps find_minima sweeps, from lambda_count as the doubling
+    oracle finds it (above max_cap when the oracle is truncated): at k <= 4
+    the one cap min(lambda_count, max_cap); at k >= 5 the caps 4, 8, 16,
+    ..., clipped to max_cap, up to the first at or above
+    min(lambda_count, max_cap)."""
+    oracle = doubling_find_minima(A, count, max_cap)
+    last = max_cap if oracle.truncated else oracle.minima[-1]
+    if A.k <= 4:
+        return [last]
+    caps = [4]
+    while caps[-1] < last:
+        caps.append(min(2 * caps[-1], max_cap))
+    return caps
 
 
-def swept_cap(A: IntegerSet, count: int, max_cap: int) -> int:
-    """The one cap find_minima sweeps: the count-th reduced norm, clipped
-    to max_cap."""
-    return min(reduced_norms(coefficient_lattice_basis(A).rows)[count - 1], max_cap)
+def assert_matches_full_sweep(rep: lattice.MinimaReport, A: IntegerSet, count: int, max_cap: int) -> None:
+    """rep has the minima, minimizers and truncation of one full sweep at
+    max_cap."""
+    full = successive_minima(A, count, max_cap)
+    assert (rep.minima, rep.minimizers, rep.truncated) == (full.minima, full.minimizers, full.truncated), A
 
 
 def assert_matches_doubling_oracle(A: IntegerSet, count: int, max_cap: int) -> None:
     """find_minima has the oracle's minima, minimizers and truncation, and
-    reports the cap it swept, which is max_cap when truncated."""
+    reports the last cap it swept, which is max_cap when truncated."""
     rep = find_minima(A, count, max_cap)
     oracle = doubling_find_minima(A, count, max_cap)
     assert (rep.minima, rep.minimizers, rep.truncated) == (oracle.minima, oracle.minimizers, oracle.truncated)
-    assert rep.cap == swept_cap(A, count, max_cap)
+    assert rep.cap == swept_caps(A, count, max_cap)[-1]
     if rep.truncated:
         assert rep.cap == max_cap
     else:
@@ -513,12 +528,12 @@ SWEPT_SHAPES = [
 @pytest.mark.parametrize("count, k, elements, max_cap", SWEPT_SHAPES)
 def test_shells_match_order_oracle_at_swept_caps(count, k, elements, max_cap):
     # the box bounds against the oracle that steps every c of the class,
-    # at the one cap find_minima sweeps: same keys, same lists, same order
+    # at the last cap find_minima sweeps: same keys, same lists, same order
     rng = random.Random(f"{count}:{k}:{elements}")
     emitted = 0
     for _ in range(200):
         A = IntegerSet(rng.sample(elements, k))
-        cap = swept_cap(A, count, max_cap)
+        cap = find_minima(A, count, max_cap).cap
         items = list(lattice_shells(A, cap).items())
         assert items == list(recursive_shells(A, cap).items()), (A, cap)
         assert_shells_sorted(dict(items))
@@ -575,16 +590,25 @@ def test_find_minima_matches_doubling_oracle(case):
     assert_matches_doubling_oracle(*case)
 
 
+@settings(max_examples=150, deadline=None)
+@given(minima_cases())
+def test_find_minima_matches_one_full_sweep_property(case):
+    # every max_cap in _MAX_CAPS keeps one full sweep inside the budget:
+    # the densest lattice, of an arithmetic progression, emits 94,189
+    # vectors at k = 5 and cap 128
+    assert_matches_full_sweep(find_minima(*case), *case)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(-60, 60), min_size=4, max_size=4, unique=True))
 def test_gauss_minima_are_the_swept_minima(elems):
-    # at rank 2 the reduction is Gauss reduction, whose norms are exactly
-    # the two minima; an overestimate would still sweep the right minima,
-    # so check the reduction's own values against a certified sweep
+    # at rank 2 the Gauss norms are exactly the two minima; an overestimate
+    # would still sweep the right minimizers, so check the norms themselves
+    # against a certified sweep
     A = IntegerSet(elems)
     rep = doubling_find_minima(A, 2, 4096)
     assert not rep.truncated
-    assert reduced_norms(coefficient_lattice_basis(A).rows) == rep.minima
+    assert tuple(lattice._gauss_norms(A)) == rep.minima
 
 
 NAMED_K4_SETS = [
@@ -633,6 +657,7 @@ SWEEP_CASES = [
     ((0, 1, 2, 3, 4, 5), 4, 8),
     ((1, 5, 96, 100), 2, 1024),  # k = 4 sweeps at lambda_2 = 190 itself
     ((1, 5, 96, 100), 2, 64),  # lambda_2 = 190 > max_cap: truncated
+    ((-53, -43, -41, 12, 46, 58), 4, 148),  # lambda_4 = 12: caps 4, 8, 16
 ]
 
 
@@ -650,12 +675,15 @@ def counted_sweeps(monkeypatch) -> list[int]:
 
 
 @pytest.mark.parametrize("elems, count, max_cap", SWEEP_CASES)
-def test_find_minima_sweeps_once(monkeypatch, elems, count, max_cap):
-    caps = counted_sweeps(monkeypatch)
+def test_find_minima_cap_sequence(monkeypatch, elems, count, max_cap):
+    # k <= 4 sweeps once, at min(lambda_count, max_cap); k >= 5 sweeps at
+    # 4, 8, 16, ... until a sweep is not truncated or reaches max_cap
     A = IntegerSet(elems)
+    expected = swept_caps(A, count, max_cap)
+    caps = counted_sweeps(monkeypatch)
     rep = find_minima(A, count, max_cap)
-    assert caps == [swept_cap(A, count, max_cap)]
-    assert rep.cap == caps[0]
+    assert caps == expected
+    assert rep.cap == caps[-1]
     assert_matches_doubling_oracle(A, count, max_cap)
 
 
@@ -674,40 +702,62 @@ def test_minima_values_match_find_minima_on_named_sets(A, max_cap):
 
 @pytest.mark.parametrize("elems, count, max_cap", SWEEP_CASES)
 def test_minima_values_sweep_only_at_k_above_4(monkeypatch, elems, count, max_cap):
-    # rank <= 2 reads the minima off the reduced basis; rank >= 3 sweeps
-    # once, where find_minima does
+    # rank <= 2 reads the minima off the Gauss norms; rank >= 3 sweeps at
+    # the caps find_minima sweeps
     A = IntegerSet(elems)
     expected = find_minima(A, count, max_cap).minima
+    expected_caps = swept_caps(A, count, max_cap) if A.k >= 5 else []
     caps = counted_sweeps(monkeypatch)
     assert lattice._minima_values(A, count, max_cap) == expected
-    assert caps == ([swept_cap(A, count, max_cap)] if A.k >= 5 else [])
+    assert caps == expected_caps
 
 
-def test_gauss_minima_equal_minima_and_either_row_order():
-    for a, b in [(2, 2), (3, 3), (2, 9), (6, 11)]:
-        rows = coefficient_lattice_basis(construct_lemma_set(a, b)).rows
-        assert reduced_norms(rows) == (2 * a, 2 * b)
-        assert reduced_norms(rows[::-1]) == (2 * a, 2 * b)
+def test_gauss_minima_equal_minima_and_either_row_order(monkeypatch):
+    kernel = lattice._difference_kernel
+    for order in (1, -1):
+        monkeypatch.setattr(lattice, "_difference_kernel", lambda a: kernel(a)[::order])
+        for a, b in [(2, 2), (3, 3), (2, 9), (6, 11)]:
+            assert lattice._gauss_norms(construct_lemma_set(a, b)) == [2 * a, 2 * b]
 
 
-def test_reduction_keeps_the_lattice_and_bounds_every_minimum():
-    # the reduced rows and the kernel basis each lie in the other's lattice,
-    # and the i-th reduced norm is at least the swept i-th minimum; the
-    # sweep stops at a cap, above which a reduced norm bounds nothing seen
-    rng = random.Random(1996)
-    caps = {5: 64, 6: 32, 7: 20}
-    for i in range(60):
-        k = 5 + i % 3
-        A = _random_set(rng, k, rng.choice([12, 40, 200]))
-        basis = coefficient_lattice_basis(A)
-        reduced = LatticeBasis(tuple(map(tuple, lattice._l1_reduce(basis.rows))), A)
-        assert all(reduced.contains(row) for row in basis.rows)
-        assert all(basis.contains(row) for row in reduced.rows)
-        norms = reduced_norms(basis.rows)
-        assert list(norms) == sorted(norms)
-        minima = successive_minima(A, k - 2, caps[k]).minima
-        for j, norm in enumerate(norms):
-            assert norm > caps[k] or norm >= minima[j], (A, norms, minima)
+def test_find_minima_on_the_set_a_single_sweep_could_not_finish():
+    # the minima lie far below max_cap, where one sweep passes the vector
+    # budget; doubling stops at cap 16
+    rep = find_minima(IntegerSet([-53, -43, -41, 12, 46, 58]), 4, 148)
+    assert rep.minima == (4, 8, 12, 12)
+    assert rep.cap == 16
+    assert not rep.truncated
+
+
+# (k, n, count, max_cap): the sets are k-subsets of 1..n; each max_cap
+# keeps one full sweep well inside the vector budget
+FULL_SWEEP_SHAPES = [(5, 1000, 3, 48), (6, 120, 4, 16), (4, 200, 2, 64)]
+
+
+@pytest.mark.parametrize("k, n, count, max_cap", FULL_SWEEP_SHAPES)
+def test_find_minima_matches_one_full_sweep(k, n, count, max_cap):
+    rng = random.Random(f"{k}:{n}:{count}")
+    truncated = 0
+    for _ in range(150):
+        A = IntegerSet(rng.sample(range(1, n + 1), k))
+        rep = find_minima(A, count, max_cap)
+        assert_matches_full_sweep(rep, A, count, max_cap)
+        truncated += rep.truncated
+    assert 0 < truncated < 150  # both outcomes occur
+
+
+def first_sweep_find_minima(A: IntegerSet, count: int, max_cap: int) -> lattice.MinimaReport:
+    """Mutant of find_minima: returns its first sweep even when that sweep
+    is truncated."""
+    cap = min(lattice._gauss_norms(A)[count - 1] if A.k <= 4 else 4, max_cap)
+    return successive_minima(A, count, cap)
+
+
+def test_full_sweep_oracle_catches_a_doubling_that_stops_early():
+    A = IntegerSet([4, 9, 31, 44, 60])
+    assert_matches_full_sweep(find_minima(A, 3, 128), A, 3, 128)
+    with pytest.raises(AssertionError):
+        assert_matches_full_sweep(first_sweep_find_minima(A, 3, 128), A, 3, 128)
 
 
 @pytest.mark.parametrize(
@@ -726,10 +776,10 @@ def test_reduction_keeps_the_lattice_and_bounds_every_minimum():
     ],
 )
 def test_find_minima_rejects_bad_arguments_before_reducing(monkeypatch, elems, count, max_cap, message):
-    def no_reduction(rows):
+    def no_reduction(A):
         raise AssertionError("reduction ran before the arguments were checked")
 
-    monkeypatch.setattr(lattice, "_l1_reduce", no_reduction)
+    monkeypatch.setattr(lattice, "_gauss_norms", no_reduction)
     with pytest.raises(ValueError, match=message):
         find_minima(IntegerSet(elems), count, max_cap)
     with pytest.raises(ValueError, match=message):
@@ -829,8 +879,8 @@ def per_set_minima_values(sets, count, max_cap):
 
 @st.composite
 def minima_blocks(draw):
-    # k >= 5 sweeps each set at its reduced norm, twice (the block falls
-    # back to the oracle), so its blocks and spans stay small
+    # k >= 5 sweeps each set by cap doubling, twice (the block falls back
+    # to the oracle), so its blocks and spans stay small
     k = draw(st.integers(3, 6))
     spans = [8, 60, 10_000, 10**6, 2**31, 2**40] if k <= 4 else [8, 60]
     span = draw(st.sampled_from(spans))
@@ -843,6 +893,9 @@ def minima_blocks(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(minima_blocks())
+# a k = 6 set with minima (4, 8, 12, 12), whose one sweep at max_cap 148
+# passes the vector budget
+@example(([(0, 1, 2, 3, 4, 5)] * 4 + [(-53, -43, -41, 12, 46, 58)], 4, 148))
 def test_minima_values_block_matches_per_set(case):
     assert lattice._minima_values_block(*case) == per_set_minima_values(*case)
 
