@@ -14,6 +14,7 @@ import io
 import json
 import os
 import sys
+from itertools import islice
 
 from . import experiments, lattice, sumset, theory, types
 from .core import CapExceeded, IntegerSet, RationalSet
@@ -207,21 +208,53 @@ def _cmd_theory_predict(args) -> None:
     _emit(args, {"h": args.h, "k": args.k, "h1": args.h1, "predicted_size": size})
 
 
+# Non-blank lines of a `theory verify --file` read and verified together:
+# each chunk's k = 4 sets share one minima block, and the file is never
+# held whole.
+_VERIFY_CHUNK = 256
+
+
+def _numbered_sets(path: str, fh):
+    """(line number, set) for each non-blank line of fh; a line that does
+    not parse raises its ValueError with the path and line number."""
+    for number, line in enumerate(fh, 1):
+        line = line.strip()
+        if line:
+            try:
+                A = IntegerSet.from_text(line)
+            except ValueError as exc:
+                exc.args = (f"{path} line {number}: {exc}",)
+                raise
+            yield number, A
+
+
 def _cmd_theory_verify(args) -> None:
     if args.set:
         _emit(args, theory.verify_main_theorem(args.set, max_cap=args.max_cap).to_dict())
         return
     reports = []
     with open(args.file) as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if line:
+        numbered = _numbered_sets(args.file, fh)
+        while True:
+            chunk, failure = [], None
+            try:
+                for item in islice(numbered, _VERIFY_CHUNK):
+                    chunk.append(item)
+            except (ValueError, OSError) as exc:
+                # raised after the sets above the failing line are
+                # verified, so an error on one of them comes first
+                failure = exc
+            verified = theory.verify_sets([A for _, A in chunk], args.max_cap)
+            for number, _ in chunk:
                 try:
-                    A = IntegerSet.from_text(line)
-                    reports.append(theory.verify_main_theorem(A, max_cap=args.max_cap).to_dict())
+                    reports.append(next(verified).to_dict())
                 except (ValueError, RuntimeError) as exc:
                     exc.args = (f"{args.file} line {number}: {exc}",)
                     raise
+            if failure is not None:
+                raise failure
+            if len(chunk) < _VERIFY_CHUNK:
+                break
     _emit(args, {"reports": reports, "all_match": all(r["all_match"] for r in reports)})
 
 

@@ -42,10 +42,11 @@ there is no such reduction, and `find_minima` sweeps at caps 4, 8, 16,
 ... until one sweep finds `count` independent vectors; a completed sweep
 at any cap >= lambda_count certifies the same minima and minimizers.
 
-Many sets at once (`_minima_values_block`, the minima statistics' path)
-run those rank <= 2 values as int64 array steps over a block of sets:
-the Euclid of `_difference_kernel` with its pivot rule and floor
-division, then the Gauss step of `_gauss_norms`. Runtime guards keep
+Many sets at once (`_minima_values_block`, the path of the minima
+statistics and of `theory.verify_sets`) run those rank <= 2 values as
+int64 array steps over a block of sets: the Euclid of
+`_difference_kernel` with its pivot rule and floor division, then the
+Gauss step of `_gauss_norms`. Runtime guards keep
 int64 exact, and a set that fails one goes through `_minima_values`;
 `_minima_values_block` states them.
 """
@@ -535,6 +536,9 @@ def _minima_values_block(sets, count: int, max_cap: int) -> list[tuple[int, ...]
     2^31, which bounds every reduction candidate below 2^31 + 2^62. Sets
     that fail a guard, and every set of size k >= 5, go through
     _minima_values itself.
+
+    Callers: experiments (the minima statistics, a block of samples at a
+    time) and theory.verify_sets (the k = 4 sets of its list).
     """
     values: list = [None] * len(sets)
     blocks: dict[int, list[int]] = {}

@@ -14,10 +14,11 @@ so predicted_size evaluates one expression for every h < h_2.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .core import IntegerSet, composition_count
-from .lattice import MinimaReport, find_minima
+from .lattice import _minima_values_block, find_minima
 from .sumset import fold_sizes
 
 
@@ -65,18 +66,13 @@ class VerificationReport:
         }
 
 
-def verify_main_theorem(A: IntegerSet, max_cap: int = 4096) -> VerificationReport:
-    """Compute (h1, h2) from the lattice, then check the closed form
-    against brute-force sumset sizes for every 1 <= h < h2."""
-    if A.k < 4:
-        raise ValueError("verification requires k >= 4")
-    report: MinimaReport = find_minima(A, 2, max_cap=max_cap)
-    if report.truncated:
-        raise MinimaTruncatedError(
-            f"second minimum of {list(A.elements)} exceeds cap {report.cap}"
-        )
-    h1 = report.minima[0] // 2
-    h2 = report.minima[1] // 2
+def _verified(A: IntegerSet, minima: tuple[int, ...], cap: int) -> VerificationReport:
+    """The report for A from its first two lattice minima, found within
+    cap. Fewer than two means the second minimum exceeds cap."""
+    if len(minima) < 2:
+        raise MinimaTruncatedError(f"second minimum of {list(A.elements)} exceeds cap {cap}")
+    h1 = minima[0] // 2
+    h2 = minima[1] // 2
     per_h: list[tuple[int, int, int, bool]] = []
     brute = fold_sizes(A.elements, h2 - 1)
     for h in range(1, h2):
@@ -84,6 +80,47 @@ def verify_main_theorem(A: IntegerSet, max_cap: int = 4096) -> VerificationRepor
         per_h.append((h, brute[h - 1], pred, brute[h - 1] == pred))
     ok = all(m for *_, m in per_h)
     return VerificationReport(A, h1, h2, tuple(per_h), ok)
+
+
+def verify_main_theorem(A: IntegerSet, max_cap: int = 4096) -> VerificationReport:
+    """Compute (h1, h2) from the lattice, then check the closed form
+    against brute-force sumset sizes for every 1 <= h < h2.
+
+    The minima come from find_minima, which sweeps the lattice shells at
+    every k, also at k = 4, where verify_sets takes the values without a
+    sweep. `theory verify --set` stays on this path because the
+    benchmark's tracing test expects the find_minima and k = 4 shell
+    spans of a `--set` run.
+    """
+    if A.k < 4:
+        raise ValueError("verification requires k >= 4")
+    report = find_minima(A, 2, max_cap=max_cap)
+    return _verified(A, report.minima, report.cap)
+
+
+def verify_sets(sets: Sequence[IntegerSet], max_cap: int = 4096) -> Iterator[VerificationReport]:
+    """verify_main_theorem(A, max_cap) for each A of sets, in order.
+
+    The k = 4 sets take (lambda_1, lambda_2) from one
+    lattice._minima_values_block call over all of them, so no shell is
+    swept for minimizers the report never holds; sets outside its int64
+    guards get the same values from the per-set Gauss norms. Every other
+    set goes through verify_main_theorem, which sweeps at k >= 5. The
+    block is computed when the first k = 4 set is reached and raises
+    only what verify_main_theorem would raise for that set (an invalid
+    max_cap), so the first set that fails raises its own error after the
+    reports of the sets before it, as the per-set loop does. A truncated
+    k = 4 set names max_cap, the cap its truncated sweep would report.
+    `theory verify --file` verifies each chunk of its file through here.
+    """
+    values = None
+    for A in sets:
+        if A.k != 4:
+            yield verify_main_theorem(A, max_cap)
+            continue
+        if values is None:
+            values = iter(_minima_values_block([B.elements for B in sets if B.k == 4], 2, max_cap))
+        yield _verified(A, next(values), max_cap)
 
 
 def construct_lemma_set(a: int, b: int, k: int = 4) -> IntegerSet:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sumsetlab
-from sumsetlab.cli import _indented, build_parser, main
+from sumsetlab.cli import _VERIFY_CHUNK, _indented, build_parser, main
 
 
 def run_cli(capsys, argv):
@@ -580,3 +580,24 @@ def test_malformed_verify_file_line_is_computation_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["theory", "verify", "--file", str(path)])
     assert code == 1
     assert err.startswith(f"error: {path} line 2: ")
+
+    # Past the first chunk, the first failing line still decides, even when
+    # a set above a parse error fails only once it is verified. Each
+    # filler line verifies at --max-cap 64; the blank lines count.
+    filler = ["0,2,18,25", "", "0,1,3,4,24", "1,4,9,30,41"] * (_VERIFY_CHUNK // 2)
+    parse = "invalid literal for int() with base 10: 'x'"
+    small = "verification requires k >= 4"
+    truncated = "second minimum of [1, 5, 96, 100] exceeds cap 64"
+    cases = [
+        (["1,x,3"], 0, parse),
+        (["1,2,4", "1,x"], 0, small),
+        (["1,5,96,100", "1,2,4"], 0, truncated),
+        (["0,1,3,4", "1,5,96,100", "0,2,18,25", "1,x"], 1, truncated),
+    ]
+    for tail, failing, message in cases:
+        lines = filler + tail + filler[:5]
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(
+            capsys, ["theory", "verify", "--file", str(path), "--max-cap", "64"])
+        number = len(filler) + failing + 1
+        assert (code, out, err) == (1, "", f"error: {path} line {number}: {message}\n"), tail

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from sumsetlab import theory
 from sumsetlab.core import IntegerSet, binomial, enumerate_compositions
 from sumsetlab.lattice import find_minima, lattice_shells
 from sumsetlab.sumset import fold_size, fold_sizes
@@ -13,6 +14,7 @@ from sumsetlab.theory import (
     popular_sizes,
     predicted_size,
     verify_main_theorem,
+    verify_sets,
 )
 
 
@@ -94,6 +96,90 @@ def test_verify_truncation_error():
 def test_verify_rejects_small_k():
     with pytest.raises(ValueError):
         verify_main_theorem(IntegerSet([1, 2, 3]))
+
+
+def verify_outcome(reports):
+    """(to_dict(), all_match) of each report, then the error that ended the
+    run as (type, message), or None."""
+    done = []
+    try:
+        for rep in reports:
+            done.append((rep.to_dict(), rep.all_match))
+    except (ValueError, RuntimeError) as exc:
+        return done, (type(exc), str(exc))
+    return done, None
+
+
+def assert_verify_sets_matches_per_set(sets, max_cap=4096):
+    """verify_sets against the per-set verify_main_theorem loop, the slow
+    oracle: the same reports, and the same error at the same set."""
+    per_set = (verify_main_theorem(A, max_cap) for A in sets)
+    expected = verify_outcome(per_set)
+    assert verify_outcome(verify_sets(sets, max_cap)) == expected
+    return expected
+
+
+def mixed_sets(seed: int, count: int) -> list[IntegerSet]:
+    rng = random.Random(seed)
+    return [IntegerSet(rng.sample(range(1, 90), rng.choice((4, 4, 5, 6)))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_verify_sets_matches_verify_main_theorem(seed):
+    sets = mixed_sets(seed, 60)
+    assert {A.k for A in sets} == {4, 5, 6}
+    done, error = assert_verify_sets_matches_per_set(sets)
+    assert error is None and len(done) == 60
+
+
+# k = 4 sets that _minima_values_block leaves to the per-set Gauss norms:
+# elements beyond int64, and spreads of 2^31 and more.
+BEYOND_INT64 = IntegerSet([10**30, 10**30 + 2, 10**30 + 7, 10**30 + 19])
+WIDE = [
+    IntegerSet([0, 1, 2**40, 2**40 + 3]),
+    IntegerSet([0, 2**31, 2**31 + 5, 2**32 + 7]),
+    IntegerSet([-(2**63), -5, 0, 2**62]),
+]
+
+
+def test_verify_sets_beyond_the_int64_guard():
+    sets = mixed_sets(3, 10) + [BEYOND_INT64] + mixed_sets(4, 10)
+    done, error = assert_verify_sets_matches_per_set(sets)
+    assert error is None and done[10][0]["set"] == list(BEYOND_INT64.elements)
+    # a spread of 2^31 or more puts lambda_2 above the default cap, so each
+    # wide set raises where it stands, after the reports before it
+    for A in WIDE:
+        done, error = assert_verify_sets_matches_per_set(mixed_sets(5, 7) + [A] + mixed_sets(6, 3))
+        assert len(done) == 7 and error[0] is MinimaTruncatedError
+
+
+@pytest.mark.parametrize("at", [0, 5, 17])
+def test_verify_sets_raises_at_the_truncated_set(at):
+    fit = [A for A in mixed_sets(7, 80) if not find_minima(A, 2, 64).truncated][:20]
+    sets = fit[:at] + [IntegerSet([1, 5, 96, 100])] + fit[at:]
+    done, error = assert_verify_sets_matches_per_set(sets, max_cap=64)
+    assert len(done) == at
+    assert error == (MinimaTruncatedError, "second minimum of [1, 5, 96, 100] exceeds cap 64")
+
+
+def test_verify_sets_sweeps_only_above_k4(monkeypatch):
+    sets = mixed_sets(8, 30)
+    swept = []
+    sweep = theory.find_minima
+    monkeypatch.setattr(theory, "find_minima",
+                        lambda A, *args, **kw: swept.append(A) or sweep(A, *args, **kw))
+    assert len(list(verify_sets(sets))) == 30
+    assert swept == [A for A in sets if A.k > 4]
+
+
+def test_differential_check_catches_reversed_block_rows(monkeypatch):
+    named = [IntegerSet(s) for s in ([0, 2, 18, 25], [1, 4, 9, 30, 41], [1, 5, 96, 100])]
+    assert_verify_sets_matches_per_set(named)
+    block = theory._minima_values_block
+    monkeypatch.setattr(theory, "_minima_values_block",
+                        lambda sets, count, max_cap: block(sets, count, max_cap)[::-1])
+    with pytest.raises(AssertionError):
+        assert_verify_sets_matches_per_set(named)
 
 
 def test_lemma_set_formulas():
