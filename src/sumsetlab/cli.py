@@ -208,9 +208,9 @@ def _cmd_theory_predict(args) -> None:
     _emit(args, {"h": args.h, "k": args.k, "h1": args.h1, "predicted_size": size})
 
 
-# Non-blank lines of a `theory verify --file` read and verified together:
-# each chunk's k = 4 sets share one minima block, and the file is never
-# held whole.
+# Non-blank lines `theory verify --file` verifies together, the k = 4 sets in
+# one minima block. Though the reports are held whole, reading the file whole
+# raised theorem peak RSS by 1-2 MiB via the allocator's high-water mark.
 _VERIFY_CHUNK = 256
 
 

@@ -1,14 +1,14 @@
 """Seeded sampling experiments and exhaustive scans over k-subsets of [n].
 
-The |hA| census, the exhaustive scan and the minima statistics run one
-job, `_job`. It chains the subsets its (draw, draw_args) sources yield,
-applies its measure to blocks of at most _DRAW_BLOCK of them, so it holds
-one block whatever its subset count, and counts the values; `_run_sharded`
-adds the jobs' Counters. A value depends on its subset alone, not on the
-block or job it lands in, so the outcome is bit-identical for any worker
-count. The census and the scan measure with one `fold_size` call per
-subset. The minima statistics count (i, h_i) pairs and take means and
-deviations from exact integer sums, converted to floats only at the end.
+The |hA| census, the exhaustive scan and the minima statistics run each
+job (draw, draw_args, measure) through `_job`. It takes the lists of at
+most _DRAW_BLOCK subsets that draw(*draw_args) yields one at a time and
+counts the values the measure gives each; `_run_sharded` adds the jobs'
+Counters. A value depends on its subset alone, not on the block or job it
+lands in, so the outcome is bit-identical for any worker count. The census
+and the scan measure with one `fold_size` call per subset. The minima
+statistics count (i, h_i) pairs and take means and deviations from exact
+integer sums, converted to floats only at the end.
 
 Sampled runs split the samples over SHARD_COUNT shards, a number fixed
 whatever the worker count. Shard s samples from its own counter-based
@@ -16,7 +16,7 @@ Philox stream, the one Philox(SeedSequence(seed, spawn_key=(s,))) starts.
 A run derives all SHARD_COUNT keys of those streams in one step,
 `_shard_keys`, with SeedSequence's own mixing: the seed's words once, then
 every shard's spawn-key word at once. Each worker gets one job of
-contiguous shards, whose one source, `_draw_subsets`, re-keys a single
+contiguous shards, whose source, `_draw_subsets`, re-keys a single
 Philox bit generator to each shard in turn at the state a fresh one would
 have. So every stream is the one numpy would build for the shard, without
 building a SeedSequence or a Philox per shard.
@@ -76,7 +76,7 @@ SHARD_COUNT = 64
 
 DEFAULT_SUBSET_BUDGET = 5_000_000
 
-# Subsets per `_job` block; also the most samples one shard draws with one
+# Subsets per source block; also the most samples one shard draws with one
 # `integers` call, and the rows `_draw_subsets` unshuffles at once.
 _DRAW_BLOCK = 1024
 
@@ -233,7 +233,7 @@ def _draw_subsets(n: int, k: int, shards):
     Philox(SeedSequence(seed, spawn_key=(s,))) starts from. Each shard
     draws the swap targets of up to _DRAW_BLOCK samples with one
     `integers` call; the draws are joined across shards into blocks of
-    _DRAW_BLOCK rows (the last may be shorter), each unshuffled at once.
+    _DRAW_BLOCK rows (the last may be shorter), each unshuffled and yielded.
     """
     bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
@@ -255,27 +255,25 @@ def _draw_subsets(n: int, k: int, shards):
             rows += len(pending[-1])
             if rows >= _DRAW_BLOCK:
                 block = np.concatenate(pending)
-                yield from _unshuffle(block[:_DRAW_BLOCK])
+                yield _unshuffle(block[:_DRAW_BLOCK])
                 pending, rows = [block[_DRAW_BLOCK:]], rows - _DRAW_BLOCK
     if rows:
-        yield from _unshuffle(np.concatenate(pending))
+        yield _unshuffle(np.concatenate(pending))
 
 
 def _job(args) -> Counter:
-    """Counter of the values `measure` returns over the subsets that the
-    sources, (draw, draw_args) pairs, yield as draw(*draw_args), chained in
-    source order and measured in blocks of at most _DRAW_BLOCK."""
-    sources, measure = args
-    subsets = itertools.chain.from_iterable(draw(*draw_args) for draw, draw_args in sources)
+    """Counter of the values `measure` returns over the blocks of subsets
+    that draw(*draw_args) yields, for the job (draw, draw_args, measure)."""
+    draw, draw_args, measure = args
     counts: Counter = Counter()
-    while block := list(itertools.islice(subsets, _DRAW_BLOCK)):
+    for block in draw(*draw_args):
         counts.update(measure(block))
     return counts
 
 
 def _run_sharded(jobs, workers: int) -> Counter:
     """Run `_job` on every job and add up the Counters it returns, in job
-    order. Each job carries its own sources, so the sum does not depend on
+    order. Each job carries its own source, so the sum does not depend on
     `workers`, the most processes the jobs are spread over."""
     if workers < 1:
         raise ValueError("workers must be positive")
@@ -293,13 +291,13 @@ def _run_sharded(jobs, workers: int) -> Counter:
 
 def _run_sampled(n: int, k: int, samples: int, seed: int, measure, workers: int) -> Counter:
     """The Counter of `measure` over all `samples` samples, in
-    min(workers, SHARD_COUNT) jobs, each with one source that walks a run
+    min(workers, SHARD_COUNT) jobs, each with a source that walks a run
     of contiguous shards, (key, count) per shard."""
     shards = tuple(zip(_shard_keys(seed), _shard_sizes(samples, SHARD_COUNT)))
     runs = min(workers, SHARD_COUNT)
     starts = [SHARD_COUNT * r // runs for r in range(runs)]
     ends = starts[1:] + [SHARD_COUNT]
-    jobs = [(((_draw_subsets, (n, k, shards[a:b])),), measure) for a, b in zip(starts, ends)]
+    jobs = [(_draw_subsets, (n, k, shards[a:b]), measure) for a, b in zip(starts, ends)]
     return _run_sharded(jobs, workers)
 
 
@@ -342,9 +340,11 @@ def random_subset_experiment(config: ExperimentConfig) -> tuple[Histogram, dict]
 
 
 def _scan_subsets(n: int, k: int, first: int):
-    """The k-subsets of {1..n} with least element `first`, in lexicographic order."""
+    """The k-subsets of {1..n} with least element `first`, lexicographically, in blocks."""
     subsets = itertools.combinations(range(first, n + 1), k)
-    return itertools.islice(subsets, binomial(n - first, k - 1))
+    subsets = itertools.islice(subsets, binomial(n - first, k - 1))
+    while block := list(itertools.islice(subsets, _DRAW_BLOCK)):
+        yield block
 
 
 def _subset_count(n: int, k: int) -> int:
@@ -371,7 +371,7 @@ def exhaustive_scan(n: int, k: int, h: int, workers: int = 1) -> Histogram:
         raise ValueError("k must be positive")
     total = _subset_count(n, k)
     measure = partial(_fold_sizes, h)
-    jobs = [(((_scan_subsets, (n, k, first)),), measure) for first in range(1, n - k + 2)]
+    jobs = [(_scan_subsets, (n, k, first), measure) for first in range(1, n - k + 2)]
     return Histogram(dict(_run_sharded(jobs, workers)), total)
 
 

@@ -1,7 +1,9 @@
 import argparse
+import codecs
 import csv
 import io
 import json
+import locale
 import os
 import shlex
 import subprocess
@@ -572,6 +574,29 @@ def test_malformed_set_is_usage_error(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "--set" in capsys.readouterr().err
+
+
+def test_verify_file_read_errors(tmp_path, capsys):
+    # a missing path and a directory both fail to open
+    for path in (tmp_path / "missing.txt", tmp_path):
+        code, out, err = run_cli(capsys, ["theory", "verify", "--file", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: [Errno ") and err.endswith(f": {str(path)!r}\n")
+
+    # a truncated second minimum on line 2 is raised before the reader
+    # reaches the undecodable byte at the end of an 80 KB file
+    path = tmp_path / "sets.txt"
+    lines = ["0,2,18,25", "1,5,96,100"] + ["0,2,18,25"] * 8000
+    path.write_bytes(("\n".join(lines) + "\n").encode() + b"\xff\n")
+    assert path.stat().st_size > 80_000
+    code, out, err = run_cli(capsys, ["theory", "verify", "--file", str(path), "--max-cap", "64"])
+    truncated = "second minimum of [1, 5, 96, 100] exceeds cap 64"
+    assert (code, out, err) == (1, "", f"error: {path} line 2: {truncated}\n")
+    if codecs.lookup(locale.getpreferredencoding(False)).name != "utf-8":
+        pytest.skip("the decode error needs a UTF-8 locale")
+    code, out, err = run_cli(capsys, ["theory", "verify", "--file", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff in position ")
 
 
 def test_malformed_verify_file_line_is_computation_error(tmp_path, capsys):

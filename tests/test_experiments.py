@@ -80,6 +80,11 @@ def random_shard_oracle(args) -> Counter:
     return Counter(sumset._fold(subset, h)[0][-1] for subset in shard_subsets_oracle(seed, shard, n, k, count))
 
 
+def joined(blocks) -> list:
+    """The subsets of a source's blocks, in order."""
+    return list(itertools.chain.from_iterable(blocks))
+
+
 def shard_run(seed, counts):
     """A run of contiguous shards from shard 0, as `_draw_subsets` takes it."""
     return tuple(zip(experiments._shard_keys(seed), counts))
@@ -142,7 +147,7 @@ def test_batched_sampler_matches_scalar_oracle(shape, count, seed, shard):
         made = []
         mp.setattr(np.random, "Generator", lambda bitgen: made.append(REAL_GENERATOR(bitgen)) or made[-1])
         key = experiments._shard_keys(seed)[shard]
-        subsets = list(experiments._draw_subsets(n, k, ((key, count),)))
+        subsets = joined(experiments._draw_subsets(n, k, ((key, count),)))
     assert subsets == [sample_subset_oracle(scalar, n, k) for _ in range(count)]
     # Both generators are left at the same point of the stream.
     [batched] = made
@@ -210,7 +215,7 @@ def test_unshuffle_follows_repeated_targets():
 @pytest.mark.parametrize("n, k", [(1, 1), (9, 1), (2**63, 1), (6, 6), (8, 8)])
 def test_sampler_at_k_one_and_k_equal_to_n(n, k):
     counts = [700, 0, 1025]
-    subsets = list(experiments._draw_subsets(n, k, shard_run(4, counts)))
+    subsets = joined(experiments._draw_subsets(n, k, shard_run(4, counts)))
     expected = [s for shard, count in enumerate(counts) for s in shard_subsets_oracle(4, shard, n, k, count)]
     assert subsets == expected
     if n == k:
@@ -229,7 +234,7 @@ def test_largest_draw_at_n_two_to_the_63_does_not_overflow():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.random, "Generator", MaxGenerator)
-        subsets = list(experiments._draw_subsets(2**63, 4, shard_run(1, [2, 1])))
+        subsets = joined(experiments._draw_subsets(2**63, 4, shard_run(1, [2, 1])))
     assert subsets == [(1, 2, 3, 2**63)] * 3
     assert all(type(x) is int for x in subsets[0])
 
@@ -268,12 +273,11 @@ def test_each_shard_draws_once_per_block(monkeypatch, count):
     sizes = recorded_draws(monkeypatch)
     blocks = -(-count // 1024)
     key = experiments._shard_keys(3)[5]
-    source = (experiments._draw_subsets, (1000, 4, ((key, count),)))
-    experiments._job(((source,), partial(experiments._fold_sizes, 10)))
+    shards = ((key, count),)
+    experiments._job((experiments._draw_subsets, (1000, 4, shards), partial(experiments._fold_sizes, 10)))
     assert len(sizes) == blocks and sum(rows for (rows, _), _ in sizes) == count
     sizes.clear()
-    source = (experiments._draw_subsets, (40, 4, ((key, count),)))
-    experiments._job(((source,), partial(experiments._minima_pairs, 1, 8)))
+    experiments._job((experiments._draw_subsets, (40, 4, shards), partial(experiments._minima_pairs, 1, 8)))
     assert len(sizes) == blocks and all(size[1] == 4 for size, _ in sizes)
 
 
@@ -403,7 +407,32 @@ def test_scan_source_yields_the_subsets_with_each_least_element():
         for k in range(1, min(n, 5) + 1):
             for first in range(1, n + 1):
                 rests = itertools.combinations(range(first + 1, n + 1), k - 1)
-                assert list(experiments._scan_subsets(n, k, first)) == [(first,) + rest for rest in rests]
+                assert joined(experiments._scan_subsets(n, k, first)) == [(first,) + rest for rest in rests]
+
+
+def assert_block_source(blocks, expected):
+    """Lists of _DRAW_BLOCK subsets, the last possibly shorter and none
+    empty, that join to `expected`."""
+    assert all(type(block) is list for block in blocks)
+    assert all(len(block) == experiments._DRAW_BLOCK for block in blocks[:-1])
+    assert all(0 < len(block) <= experiments._DRAW_BLOCK for block in blocks[-1:])
+    assert joined(blocks) == expected
+
+
+def test_sources_yield_full_blocks_but_the_last():
+    n, k, first = 30, 4, 1
+    blocks = list(experiments._scan_subsets(n, k, first))
+    assert [len(block) for block in blocks] == [1024, 1024, 1024, 582]
+    rests = itertools.combinations(range(first + 1, n + 1), k - 1)
+    assert_block_source(blocks, [(first,) + rest for rest in rests])
+    # the first block edge falls inside shard 2, the second inside shard 3,
+    # and the second block runs across the edge between them
+    counts = [0, 2, 1500, 700, 0]
+    blocks = list(experiments._draw_subsets(500, 4, shard_run(9, counts)))
+    assert [len(block) for block in blocks] == [1024, 1024, 154]
+    expected = [s for shard, count in enumerate(counts) for s in shard_subsets_oracle(9, shard, 500, 4, count)]
+    assert_block_source(blocks, expected)
+    assert list(experiments._draw_subsets(500, 4, shard_run(9, [0, 0]))) == []
 
 
 def test_config_validation():
@@ -639,7 +668,7 @@ def test_run_sharded_merges_like_a_counter_sum(workers):
     # 3000 samples in runs of 8 contiguous shards, several jobs
     shards = shard_run(11, experiments._shard_sizes(3000, experiments.SHARD_COUNT))
     measure = partial(experiments._minima_pairs, 2, 64)
-    jobs = [(((experiments._draw_subsets, (500, 4, shards[i : i + 8])),), measure) for i in range(0, len(shards), 8)]
+    jobs = [(experiments._draw_subsets, (500, 4, shards[i : i + 8]), measure) for i in range(0, len(shards), 8)]
     assert len(jobs) > workers
     merged = experiments._run_sharded(jobs, workers)
     summed = sum(map(experiments._job, jobs), Counter())
@@ -660,8 +689,7 @@ def test_shard_runs_cover_every_shard_in_order(monkeypatch, samples):
         # one nonempty run of contiguous shards per worker, up to one per shard
         assert len(jobs) == min(workers, experiments.SHARD_COUNT)
         runs = []
-        for sources, job_measure in jobs:
-            [(draw, (n, k, run))] = sources
+        for draw, (n, k, run), job_measure in jobs:
             assert draw is experiments._draw_subsets and (n, k) == (1000, 4)
             assert run and job_measure is measure
             runs.append(run)
@@ -705,7 +733,7 @@ def test_pool_has_no_more_processes_than_jobs(monkeypatch):
     assert exhaustive_scan(14, 4, 3, workers=500) == serial  # 11 jobs, one per first element
     assert pools == [11]
     pools.clear()
-    scan_job = (((experiments._scan_subsets, (14, 4, 1)),), partial(experiments._fold_sizes, 3))
+    scan_job = (experiments._scan_subsets, (14, 4, 1), partial(experiments._fold_sizes, 3))
     assert experiments._run_sharded([scan_job], 500)
     assert pools == []  # one job runs in this process
     config = ExperimentConfig(n=300, k=4, h=5, samples=37, seed=6, workers=500)

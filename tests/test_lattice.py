@@ -953,7 +953,7 @@ def test_minima_values_block_samples_past_int64(monkeypatch):
     # every spread is far past 2^31, so every set takes the fallback
     from sumsetlab.experiments import _draw_subsets, _shard_keys
 
-    sets = list(_draw_subsets(2**63, 4, ((_shard_keys(3)[0], 30),)))
+    [sets] = _draw_subsets(2**63, 4, ((_shard_keys(3)[0], 30),))
     assert max(max(s) for s in sets) >= 2**62
     expected = per_set_minima_values(sets, 2, 64)
     seen = recorded_fallbacks(monkeypatch)
