@@ -199,7 +199,7 @@ def _cmd_lattice_basis(args) -> None:
 
 
 def _cmd_lattice_minima(args) -> None:
-    report = lattice.successive_minima(args.set, args.count, args.cap)
+    report = lattice.find_minima(args.set, args.count, args.cap)
     _emit(args, report.to_dict(), [(n,) + v for n, v in zip(report.minima, report.minimizers)])
 
 
@@ -214,36 +214,32 @@ def _cmd_theory_predict(args) -> None:
 _VERIFY_CHUNK = 256
 
 
-def _numbered_sets(path: str, fh):
-    """(line number, set) for each non-blank line of fh; a line that does
-    not parse raises its ValueError with the path and line number."""
-    for number, line in enumerate(fh, 1):
-        line = line.strip()
-        if line:
-            try:
-                A = IntegerSet.from_text(line)
-            except ValueError as exc:
-                exc.args = (f"{path} line {number}: {exc}",)
-                raise
-            yield number, A
+def _numbered_sets(path: str, fh, failures: list):
+    """(line number, set) for each non-blank line of fh, up to the first
+    line that cannot be read or parsed, whose error is appended to
+    failures; a parse error names the path and line number."""
+    try:
+        for number, line in enumerate(fh, 1):
+            line = line.strip()
+            if line:
+                try:
+                    A = IntegerSet.from_text(line)
+                except ValueError as exc:
+                    exc.args = (f"{path} line {number}: {exc}",)
+                    raise
+                yield number, A
+    except (ValueError, OSError) as exc:
+        failures.append(exc)
 
 
 def _cmd_theory_verify(args) -> None:
     if args.set:
         _emit(args, theory.verify_main_theorem(args.set, max_cap=args.max_cap).to_dict())
         return
-    reports = []
+    reports, failures = [], []
     with open(args.file) as fh:
-        numbered = _numbered_sets(args.file, fh)
-        while True:
-            chunk, failure = [], None
-            try:
-                for item in islice(numbered, _VERIFY_CHUNK):
-                    chunk.append(item)
-            except (ValueError, OSError) as exc:
-                # raised after the sets above the failing line are
-                # verified, so an error on one of them comes first
-                failure = exc
+        numbered = _numbered_sets(args.file, fh, failures)
+        while chunk := list(islice(numbered, _VERIFY_CHUNK)):
             verified = theory.verify_sets([A for _, A in chunk], args.max_cap)
             for number, _ in chunk:
                 try:
@@ -251,10 +247,10 @@ def _cmd_theory_verify(args) -> None:
                 except (ValueError, RuntimeError) as exc:
                     exc.args = (f"{args.file} line {number}: {exc}",)
                     raise
-            if failure is not None:
-                raise failure
-            if len(chunk) < _VERIFY_CHUNK:
-                break
+    if failures:
+        # raised after the sets above the failing line are verified, so an
+        # error on one of them comes first
+        raise failures[0]
     _emit(args, {"reports": reports, "all_match": all(r["all_match"] for r in reports)})
 
 

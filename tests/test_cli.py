@@ -5,6 +5,7 @@ import io
 import json
 import locale
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -18,6 +19,9 @@ from hypothesis import strategies as st
 
 import sumsetlab
 from sumsetlab.cli import _VERIFY_CHUNK, _indented, build_parser, main
+from sumsetlab.core import IntegerSet
+from sumsetlab.lattice import successive_minima
+from sumsetlab.theory import verify_main_theorem
 
 
 def run_cli(capsys, argv):
@@ -277,6 +281,53 @@ def test_lattice_basis(capsys):
     assert code == 0
     payload = json.loads(out)
     assert len(payload["rows"]) == 2
+
+
+def test_lattice_minima_matches_full_sweep_oracle(capsys):
+    """lattice minima certifies through find_minima; the oracle sweeps the
+    whole L1 ball of radius --cap. Minima, minimizers, truncation and CSV
+    rows agree, and the payload's cap is the radius of the last sweep: --cap
+    when the report is truncated, else between lambda_count and --cap."""
+    rng = random.Random(29)
+    cases = 0
+    for k, span, caps in ((3, 60, (4, 8, 30, 64)), (4, 120, (4, 16, 64, 200)),
+                          (5, 40, (4, 12, 32, 64)), (6, 25, (4, 10, 24))):
+        for _ in range(6):
+            A = IntegerSet(rng.sample(range(span), k))
+            text = ",".join(map(str, A.elements))
+            for count in range(1, k - 1):
+                for cap in caps:
+                    oracle = successive_minima(A, count, cap)
+                    argv = ["lattice", "minima", "--set", text, "--count", str(count),
+                            "--cap", str(cap)]
+                    code, out, err = run_cli(capsys, argv)
+                    assert (code, err) == (0, ""), argv
+                    payload = json.loads(out)
+                    expected = oracle.to_dict()
+                    assert payload["minima"] == expected["minima"], argv
+                    assert payload["minimizers"] == expected["minimizers"], argv
+                    assert payload["truncated"] == expected["truncated"], argv
+                    if payload["truncated"]:
+                        assert payload["cap"] == cap, argv
+                    else:
+                        assert payload["minima"][-1] <= payload["cap"] <= cap, argv
+                    code, out, _ = run_cli(capsys, argv + ["--format", "csv"])
+                    rows = [(n,) + v for n, v in zip(oracle.minima, oracle.minimizers)]
+                    assert code == 0
+                    assert [tuple(map(int, r)) for r in csv.reader(io.StringIO(out))] == rows
+                    cases += 1
+    assert cases > 100
+
+
+def test_lattice_minima_cap_bounds_the_certificate_not_the_sweep(capsys):
+    # The whole ball of radius 1024 passes the vector budget, but the
+    # minima are certified by the first sweep, at cap 4.
+    argv = ["lattice", "minima", "--set", "0,1,2,3,4,5", "--count", "4", "--cap", "1024"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["minima"] == [4, 4, 4, 4]
+    assert payload["cap"] == 4 and payload["truncated"] is False
 
 
 def test_theory_commands(capsys):
@@ -597,6 +648,41 @@ def test_verify_file_read_errors(tmp_path, capsys):
     code, out, err = run_cli(capsys, ["theory", "verify", "--file", str(path)])
     assert (code, out) == (1, "")
     assert err.startswith("error: 'utf-8' codec can't decode byte 0xff in position ")
+
+
+def test_verify_file_chunk_edges(tmp_path, capsys):
+    """theory verify --file reads _VERIFY_CHUNK non-blank lines at a time;
+    files that end on, or fail on either side of, a chunk edge give each
+    line's own report or that line's error."""
+    path = tmp_path / "sets.txt"
+    filler = ["0,2,18,25", "0,1,3,4,24", "1,4,9,30,41", "0,1,3,4"]
+    expected = {line: verify_main_theorem(IntegerSet.from_text(line), 64).to_dict()
+                for line in filler}
+
+    def verify(lines):
+        path.write_text("".join(line + "\n" for line in lines))
+        return run_cli(capsys, ["theory", "verify", "--file", str(path), "--max-cap", "64"])
+
+    full = [filler[i % len(filler)] for i in range(2 * _VERIFY_CHUNK)]
+    for lines in (full[:_VERIFY_CHUNK], [x for line in full for x in (line, "")]):
+        code, out, err = verify(lines)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["reports"] == [expected[line] for line in lines if line]
+        assert payload["all_match"] is True
+
+    parse = "invalid literal for int() with base 10: 'x'"
+    for number, bad, message in ((_VERIFY_CHUNK, "1,x", parse),
+                                 (_VERIFY_CHUNK + 1, "1,x", parse),
+                                 (_VERIFY_CHUNK + 44, "1,2,4", "verification requires k >= 4")):
+        lines = list(full)
+        lines[number - 1] = bad
+        assert verify(lines) == (1, "", f"error: {path} line {number}: {message}\n"), number
+
+    for lines in ([], ["", "  ", "\t", ""]):
+        code, out, err = verify(lines)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"all_match": True, "reports": []}
 
 
 def test_malformed_verify_file_line_is_computation_error(tmp_path, capsys):
