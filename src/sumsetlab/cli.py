@@ -217,7 +217,9 @@ _VERIFY_CHUNK = 256
 def _numbered_sets(path: str, fh, failures: list):
     """(line number, set) for each non-blank line of fh, up to the first
     line that cannot be read or parsed, whose error is appended to
-    failures; a parse error names the path and line number."""
+    failures; a parse error names the path and line number, and an
+    undecodable byte the path alone, since the text reader decodes ahead
+    of the line it yields."""
     try:
         for number, line in enumerate(fh, 1):
             line = line.strip()
@@ -228,6 +230,9 @@ def _numbered_sets(path: str, fh, failures: list):
                     exc.args = (f"{path} line {number}: {exc}",)
                     raise
                 yield number, A
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        failures.append(ValueError(f"{path}: not UTF-8 text: {exc.reason} (byte {byte:#04x})"))
     except (ValueError, OSError) as exc:
         failures.append(exc)
 

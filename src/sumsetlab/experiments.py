@@ -41,18 +41,25 @@ OR_{j=0..h} (M_{h-j} << j*(x - min(P))), since h(P u {x}) is the union of
 saw, so P is folded once and every last element costs h shift-ORs and one
 bit count.
 
-The type census runs over the subsets in lexicographic order, in blocks
-of at most _CENSUS_BLOCK matrix entries. With W the k x C matrix whose
-columns are the C compositions of h, one matmul gives every sum
-c . A of a block's subsets A, one row per subset. A stable argsort of
-each row puts equal sums next to each other with the earliest composition
-first; comparing neighbours marks where each group of equal sums starts,
-a running maximum carries that start along the group, and a scatter gives
-every composition the index of the first composition in its class. That
-row is a bijective image of `h_type(A, h).class_ids`, and its bytes are
-the key the census groups by. The sums are at most h*n, so the block
-works in int64 when h*n < 2^63 and in Python ints (object arrays) on the
-same steps otherwise.
+The type census visits only the k-subsets of [n] that contain 1, the
+first C(n - 1, k - 1) in lexicographic order. An h-type is invariant
+under translation, since c . (A + t) = c . A + t*h for every composition
+c of h, and a subset A with least element a > 1 has the translate
+A - (a - 1) in [n], of the same type and earlier in that order. So every
+type first appears on a subset containing 1, and the types, their
+representatives and their order are those of a walk over all C(n, k)
+subsets. The census still checks C(n, k) against DEFAULT_SUBSET_BUDGET.
+It walks its subsets in blocks of at most _CENSUS_BLOCK matrix entries.
+With W the k x C matrix whose columns are the C compositions of h, one
+matmul gives every sum c . A of a block's subsets A, one row per subset.
+A stable argsort of each row puts equal sums next to each other with the
+earliest composition first; comparing neighbours marks where each group
+of equal sums starts, a running maximum carries that start along the
+group, and a scatter gives every composition the index of the first
+composition in its class. That row is a bijective image of
+`h_type(A, h).class_ids`, and its bytes are the key the census groups by.
+The sums are at most h*n, so the block works in int64 when h*n < 2^63
+and in Python ints (object arrays) on the same steps otherwise.
 """
 
 from __future__ import annotations
@@ -452,8 +459,11 @@ def type_census(n: int, k: int, h: int) -> tuple[int, list[IntegerSet]]:
     first appearance. The count is a lower bound for the number of types
     over all of Z, not an answer to how many exist.
 
-    Subsets are visited in the order of itertools.combinations, in blocks
-    of at most _CENSUS_BLOCK composition sums. A subset's key gives each
+    Only the C(n - 1, k - 1) subsets that contain 1 are visited, in the
+    order of itertools.combinations, in blocks of at most _CENSUS_BLOCK
+    composition sums: any other subset A has the translate A - (min(A) - 1),
+    which contains 1, has the same type and comes earlier. The budget is
+    still checked against all C(n, k) subsets. A subset's key gives each
     composition the index of the first composition with the same sum,
     which is a bijective image of its `h_type(..., h).class_ids`; the
     module docstring says how a block computes it.
@@ -469,7 +479,7 @@ def type_census(n: int, k: int, h: int) -> tuple[int, list[IntegerSet]]:
     rows = max(1, _CENSUS_BLOCK // len(comps))
     cols = np.arange(1, len(comps))
     key_dtype = np.min_scalar_type(len(comps) - 1)
-    combos = itertools.combinations(range(1, n + 1), k)
+    combos = ((1, *rest) for rest in itertools.combinations(range(2, n + 1), k - 1))
     seen: dict[bytes, tuple[int, ...]] = {}
     while block := list(itertools.islice(combos, rows)):
         sums = np.array(block, dtype=dtype) @ weights

@@ -298,13 +298,15 @@ class LogLinear:
     integer multiples m * self, which keep that form.
     """
 
-    __slots__ = ("rat", "coeff", "num", "den")
+    __slots__ = ("rat", "coeff", "num", "den", "_unit")
 
     def __init__(self, rat: int = 0, coeff: int = 0, num: int = 1, den: int = 1):
         self.rat = rat
         self.coeff = coeff
         self.num = num
         self.den = den
+        # (bits, lo, hi, s): _interval(bits) at bits = PRECISION_SCHEDULE[0]
+        self._unit = None
 
     @classmethod
     def log2_of(cls, r) -> "LogLinear":
@@ -344,15 +346,31 @@ class LogLinear:
         """Exact floor of m*self for an integer m. Rational values
         short-circuit; irrational values are never integers, so interval
         refinement settles at some precision, and PrecisionExhaustedError
-        is raised when no entry of PRECISION_SCHEDULE does."""
+        is raised when no entry of PRECISION_SCHEDULE does.
+
+        The first attempt scales the interval (lo, hi, s) of self at the
+        first precision, kept from the first call: m*lo and m*hi are the
+        ends of _interval(bits, m), since m*(rat << s) = rat*m << s. When
+        m < 0 they come in the opposite order, which does not matter: the
+        floor is settled when both ends have the same floor. The interval
+        is kept with its precision and rebuilt when PRECISION_SCHEDULE[0]
+        differs, because the schedule is a budget read at call time. Only
+        an ambiguous first attempt goes on through PRECISION_SCHEDULE[1:]."""
         if self.is_rational:
             return self.rat * m
-        for bits in PRECISION_SCHEDULE:
+        schedule = PRECISION_SCHEDULE
+        unit = self._unit
+        if unit is None or unit[0] != schedule[0]:
+            unit = self._unit = (schedule[0], *self._interval(schedule[0]))
+        _, lo, hi, s = unit
+        lo, hi = m * lo, m * hi
+        for bits in schedule[1:]:
+            if lo >> s == hi >> s:
+                break
             lo, hi, s = self._interval(bits, m)
-            flo = lo >> s
-            if flo == hi >> s:
-                return flo
-        raise PrecisionExhaustedError("floor of a log-linear value", PRECISION_SCHEDULE)
+        if lo >> s == hi >> s:
+            return lo >> s
+        raise PrecisionExhaustedError("floor of a log-linear value", schedule)
 
     def sign_lower_bound(self) -> Fraction:
         """A positive rational lower bound for a value known to be > 0,

@@ -861,6 +861,26 @@ def test_type_census_blocks_split_prefixes(monkeypatch, block, shape):
     assert census[1][-1].elements not in first_block
 
 
+@pytest.mark.parametrize("block", [1, 37, experiments._CENSUS_BLOCK])
+@pytest.mark.parametrize("shape", [(7, 1, 3), (5, 5, 2), (9, 2, 4), (12, 4, 2), (14, 5, 3)])
+def test_type_census_visits_only_the_subsets_that_contain_1(monkeypatch, block, shape):
+    # every type first appears on a subset containing 1, so the blocks
+    # hold C(n - 1, k - 1) rows, not C(n, k); the oracles walk them all
+    monkeypatch.setattr(experiments, "_CENSUS_BLOCK", block)
+    rows = []
+    argsort = np.argsort
+
+    def spy(a, *args, **kwargs):
+        rows.append(len(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    census = type_census(*shape)
+    n, k, _ = shape
+    assert sum(rows) == binomial(n - 1, k - 1)
+    assert_same_census(census, type_census_prefix_oracle(*shape))
+
+
 @pytest.mark.parametrize("h, dtype", [(2**62 - 1, np.int64), (2**62, object)])
 def test_type_census_sums_in_int64_only_below_two_to_the_63(monkeypatch, h, dtype):
     # The largest sum is h * n: 2^63 - 2 fits in int64, 2^63 does not.

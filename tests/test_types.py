@@ -766,6 +766,36 @@ def test_floor_of_a_multiple_matches_fraction_oracle(monkeypatch):
         assert _outcome(lambda: fast.floor(-3)) == _outcome(oracle.floor), (rat, coeff, num, den)
 
 
+def test_warm_floor_matches_a_fresh_value(monkeypatch):
+    # floor(m) scales an interval the first call kept; every scale on one
+    # warm value must floor like a fresh value and the oracle. 2**5000
+    # escalates through the whole schedule, milliseconds a value, so
+    # fewer values get it
+    scales = [0, 1, -1, 2, -2, 10**6, -(10**6), 10**30]
+    for i, (rat, coeff, num, den) in enumerate(_log_linear_cases()):
+        warm = LogLinear(rat, coeff, num, den)
+        for m in scales + [2**5000] * (i % 199 == 1):
+            outcome = _outcome(lambda: warm.floor(m))
+            assert outcome == _outcome(lambda: LogLinear(rat, coeff, num, den).floor(m))
+            oracle = FractionLogLinear(rat * m, coeff * m, num, den)
+            assert outcome == _outcome(oracle.floor), (rat, coeff, num, den, m)
+    # the kept interval follows the schedule read at call time: at a
+    # first precision of 2, log2(27) = 4.75... stays undecided; 64 bits
+    # alone decide it but not 10**30 times it; from 128 bits both settle
+    x, big = LogLinear.log2_of(27), 10**30
+    exact = {m: FractionLogLinear(0, 3 * m, 3, 1).floor() for m in (1, big)}
+    assert (x.floor(), x.floor(big)) == (exact[1], exact[big])
+    for schedule, settled in (((2,), ()), ((64,), (1,)), ((128, 256), (1, big))):
+        monkeypatch.setattr(types, "PRECISION_SCHEDULE", schedule)
+        for m in (1, big):
+            if m in settled:
+                assert x.floor(m) == exact[m], (schedule, m)
+            else:
+                with pytest.raises(PrecisionExhaustedError) as exc:
+                    x.floor(m)
+                assert exc.value.attempted == schedule
+
+
 def test_rounding_by_the_floor_of_twice_the_value():
     # the transports round x to floor(x + 1/2) as (floor(2x) + 1) // 2;
     # floor(x - 1/2) is (floor(2x) - 1) // 2 in the same way
