@@ -68,6 +68,7 @@ import itertools
 from concurrent.futures import ProcessPoolExecutor
 from collections import Counter
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -144,9 +145,11 @@ class Histogram:
         }
 
     def to_csv_rows(self) -> list[tuple[int, int, str]]:
+        """(size, count, proportion) rows; the proportion is count/total
+        rounded exactly to 10 decimals, to the nearest, ties to even."""
         return [
-            (size, self.counts[size], format(self.counts[size] / self.total, ".10f"))
-            for size in sorted(self.counts)
+            (size, count, "%d.%010d" % divmod(round(Fraction(count * 10**10, self.total)), 10**10))
+            for size, count in sorted(self.counts.items())
         ]
 
 

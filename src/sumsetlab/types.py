@@ -28,26 +28,29 @@ Three transports are implemented, all exact:
     positive rational r: a scaled element log in the scan and the
     rounding, or q*log2(r) for the least ratio r of two distinct h-fold
     products when q0 is found. Writing r = 2**e * a/b with a, b odd and
-    coprime, log2(r) = e + log2(a/b) (class LogLinear, integer e and
-    coefficient 1), and log2(a/b) is rational only when a = b = 1:
-    log2(a/b) = u/v with v > 0 gives a**v = 2**u * b**v, where a**v and
-    b**v are odd, so u = 0 and then a = b, which coprimality makes 1. So
-    the multiple is rational, and then the integer m*e, exactly when
-    m = 0 or a = b = 1, decided without factoring anything. Floors and
-    strict signs of irrational values are decided by interval evaluation
-    at escalating precision; an irrational value is never an integer or
-    zero, so some precision settles each one, and past the last entry of
+    coprime, log2(r) = e + log2(a/b) (class LogLinear holds e, a and b),
+    and log2(a/b) is rational only when a = b = 1: log2(a/b) = u/v with
+    v > 0 gives a**v = 2**u * b**v, where a**v and b**v are odd, so u = 0
+    and then a = b, which coprimality makes 1. So the multiple is
+    rational, and then the integer m*e, exactly when m = 0 or a = b,
+    decided without factoring anything. Floors and strict signs of
+    irrational values are decided by interval evaluation at escalating
+    precision; an irrational value is never an integer or zero, so some
+    precision settles each one, and past the last entry of
     PRECISION_SCHEDULE it raises PrecisionExhaustedError. The intervals
     are dyadic fixed point, computed in integers: log2 n = e + ln m / ln 2
     for n = 2**e * m, m in [1, 2), with ln m and ln 2 summed as a
     truncated atanh series under an explicit error bound, held as
-    integers lo/2**s < log2 n < hi/2**s. Every coefficient is an integer,
-    so the bounds of a multiple stay over 2**s, and each floor is two
-    right shifts by s. Both transports round x to floor(x + 1/2) as
-    (floor(2x) + 1) // 2, the floor they scan with at 2x. q0 is exact,
-    the least q with r**q >= 4, so the output depends on (P, h) alone and
-    not on how tight an interval is. The output set is verified against
-    the product type by exact big-integer products before being returned.
+    integers lo/2**s < log2 n < hi/2**s. Each log keeps its interval at
+    the first precision of the schedule. The floor of m*log2(r) scales
+    that interval by m, which keeps it over 2**s, and takes two right
+    shifts by s; only a floor whose scaled interval straddles an integer
+    goes on to the next precision. Both transports round x to
+    floor(x + 1/2) as (floor(2x) + 1) // 2, the floor they scan with at
+    2x. q0 is exact, the least q with r**q >= 4, so the output depends on
+    (P, h) alone and not on how tight an interval is. The output set is
+    verified against the product type by exact big-integer products
+    before being returned.
 """
 
 from __future__ import annotations
@@ -227,7 +230,7 @@ def sum_to_product(S: IntegerSet) -> IntegerSet:
 
 
 # ---------------------------------------------------------------------------
-# Exact arithmetic on numbers q + c*log2(a/b), a and b odd and coprime
+# Exact arithmetic on log2 r = e + log2(a/b), a and b odd and coprime
 
 
 # Distinct (n, bits) intervals kept. The eight passes of the perfbench
@@ -291,18 +294,19 @@ def _log2_bounds(n: int, bits: int) -> tuple[int, int, int]:
 
 
 class LogLinear:
-    """An exact number rat + coeff * log2(num/den), with integers rat and
-    coeff, and num and den odd and coprime. log2(num/den) is irrational
-    unless num = den = 1, so the number is rational, and then the integer
-    rat, precisely when coeff is 0 or num = den = 1. Floors are taken of
-    integer multiples m * self, which keep that form.
+    """log2 of a positive rational 2**rat * num/den, held exactly as
+    rat + log2(num/den), with an integer rat, and num and den odd and
+    coprime. log2(num/den) is irrational unless num = den = 1, so the
+    value is rational, and then the integer rat, precisely when
+    num == den. Its negation is log2 of the reciprocal,
+    LogLinear(-rat, den, num). Floors are taken of integer multiples
+    m * self.
     """
 
-    __slots__ = ("rat", "coeff", "num", "den", "_unit")
+    __slots__ = ("rat", "num", "den", "_unit")
 
-    def __init__(self, rat: int = 0, coeff: int = 0, num: int = 1, den: int = 1):
+    def __init__(self, rat: int, num: int, den: int):
         self.rat = rat
-        self.coeff = coeff
         self.num = num
         self.den = den
         # (bits, lo, hi, s): _interval(bits) at bits = PRECISION_SCHEDULE[0]
@@ -317,15 +321,21 @@ class LogLinear:
         a, b = r.numerator, r.denominator
         ta = (a & -a).bit_length() - 1
         tb = (b & -b).bit_length() - 1
-        return cls(ta - tb, 1, a >> ta, b >> tb)
+        return cls(ta - tb, a >> ta, b >> tb)
 
     @property
     def is_rational(self) -> bool:
-        return self.coeff == 0 or self.num == self.den == 1
+        return self.num == self.den
 
-    def _interval(self, bits: int, m: int = 1) -> tuple[int, int, int]:
-        """Integers (lo, hi, s) with lo/2**s <= m*self <= hi/2**s, from the
-        log2 intervals at `bits`, whose common denominator is 2**s."""
+    def _interval(self, bits: int) -> tuple[int, int, int]:
+        """Integers (lo, hi, s) with lo/2**s <= self <= hi/2**s, from the
+        log2 intervals at `bits`, whose common denominator is 2**s. The
+        interval at PRECISION_SCHEDULE[0] is kept with its precision, and
+        rebuilt when the schedule's first entry differs, because the
+        schedule is a budget read at call time."""
+        unit = self._unit
+        if unit is not None and unit[0] == bits:
+            return unit[1:]
         lo = hi = s = 0
         if self.num > 1:
             lo, hi, s = _log2_bounds(self.num, bits)
@@ -336,41 +346,28 @@ class LogLinear:
             else:
                 dlo, dhi = dlo << (s - ds), dhi << (s - ds)
             lo, hi = lo - dhi, hi - dlo
-        c = self.coeff * m
-        if c < 0:
-            lo, hi = hi, lo
-        base = self.rat * m << s
-        return base + c * lo, base + c * hi, s
+        base = self.rat << s
+        lo, hi = base + lo, base + hi
+        if bits == PRECISION_SCHEDULE[0]:
+            self._unit = (bits, lo, hi, s)
+        return lo, hi, s
 
     def floor(self, m: int = 1) -> int:
         """Exact floor of m*self for an integer m. Rational values
-        short-circuit; irrational values are never integers, so interval
-        refinement settles at some precision, and PrecisionExhaustedError
-        is raised when no entry of PRECISION_SCHEDULE does.
-
-        The first attempt scales the interval (lo, hi, s) of self at the
-        first precision, kept from the first call: m*lo and m*hi are the
-        ends of _interval(bits, m), since m*(rat << s) = rat*m << s. When
-        m < 0 they come in the opposite order, which does not matter: the
-        floor is settled when both ends have the same floor. The interval
-        is kept with its precision and rebuilt when PRECISION_SCHEDULE[0]
-        differs, because the schedule is a budget read at call time. Only
-        an ambiguous first attempt goes on through PRECISION_SCHEDULE[1:]."""
+        short-circuit. Otherwise each precision of PRECISION_SCHEDULE in
+        turn scales the interval (lo, hi, s) of self by m; the ends come in
+        the opposite order when m < 0, which does not matter, as the floor
+        is settled once both have the same floor. An irrational value is
+        never an integer, so some precision settles it, and
+        PrecisionExhaustedError is raised when none does."""
         if self.is_rational:
             return self.rat * m
-        schedule = PRECISION_SCHEDULE
-        unit = self._unit
-        if unit is None or unit[0] != schedule[0]:
-            unit = self._unit = (schedule[0], *self._interval(schedule[0]))
-        _, lo, hi, s = unit
-        lo, hi = m * lo, m * hi
-        for bits in schedule[1:]:
-            if lo >> s == hi >> s:
-                break
-            lo, hi, s = self._interval(bits, m)
-        if lo >> s == hi >> s:
-            return lo >> s
-        raise PrecisionExhaustedError("floor of a log-linear value", schedule)
+        for bits in PRECISION_SCHEDULE:
+            lo, hi, s = self._interval(bits)
+            lo = m * lo >> s
+            if lo == m * hi >> s:
+                return lo
+        raise PrecisionExhaustedError("floor of a log-linear value", PRECISION_SCHEDULE)
 
     def sign_lower_bound(self) -> Fraction:
         """A positive rational lower bound for a value known to be > 0,

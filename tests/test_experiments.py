@@ -1,6 +1,7 @@
 import itertools
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -13,6 +14,7 @@ from sumsetlab.core import CapExceeded, IntegerSet, binomial
 from sumsetlab.lattice import find_minima
 from sumsetlab.experiments import (
     ExperimentConfig,
+    Histogram,
     exhaustive_scan,
     minima_statistics,
     random_subset_experiment,
@@ -534,6 +536,40 @@ def test_histogram_csv_rows():
     rows = hist.to_csv_rows()
     assert sum(r[1] for r in rows) == 100
     assert [r[0] for r in rows] == sorted(r[0] for r in rows)
+
+
+def _oracle_proportion(count: int, total: int) -> Fraction:
+    """count/total rounded to 10 decimals, to the nearest, ties to even, by
+    comparing Fraction distances to the two neighbouring decimals."""
+    x = Fraction(count, total) * 10**10
+    below = x.numerator // x.denominator
+    up = x - below > below + 1 - x or (x - below == below + 1 - x and below % 2 == 1)
+    return Fraction(below + up, 10**10)
+
+
+def test_histogram_proportion_is_rounded_exactly():
+    # the float 5890956/9864808 sits on the other side of the halfway
+    # point 0.59716884505 than the true 0.59716884504999996...
+    rows = Histogram({1: 5_890_956, 2: 3_973_852}, 9_864_808).to_csv_rows()
+    assert [r[2] for r in rows] == ["0.5971688450", "0.4028311550"]
+    # where the float is exact the rounding is the same: 1/2048 ends in 5
+    rows = Histogram({1: 1, 2: 2047}, 2048).to_csv_rows()
+    assert [r[2] for r in rows] == ["0.0004882812", "0.9995117188"]
+    assert Histogram({7: 3}, 3).to_csv_rows() == [(7, 3, "1.0000000000")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**15).flatmap(lambda total: st.tuples(st.integers(0, total), st.just(total))))
+@example((5_890_956, 9_864_808))
+@example((1, 2048))
+@example((1, 3 * 2**40))
+def test_histogram_proportion_matches_fraction_oracle(pair):
+    count, total = pair
+    ((_, _, text),) = Histogram({0: count}, total).to_csv_rows()
+    assert len(text.split(".")[1]) == 10
+    assert Fraction(text) == _oracle_proportion(count, total), pair
+    if Fraction(count / total) == Fraction(count, total):
+        assert text == format(count / total, ".10f"), pair
 
 
 def test_minima_statistics_basic():

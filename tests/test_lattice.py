@@ -980,6 +980,33 @@ def test_kernel_block_freezes_a_set_whose_transform_leaves_the_guard(monkeypatch
     assert rows == coefficient_lattice_basis(IntegerSet([0, 2, 3, 5])).rows
 
 
+def _sets_of_spread(k: int, spread: int):
+    """Sets (0, ..., top) of k integers with top at most `spread`."""
+    return st.integers(k - 1, spread).flatmap(
+        lambda top: st.lists(st.integers(1, top - 1), min_size=k - 2, max_size=k - 2, unique=True)
+        .map(lambda inner: (0, *sorted(inner), top))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_sets_of_spread(3, 2**31 - 1), min_size=1, max_size=8),
+    st.lists(_sets_of_spread(4, 46_340), min_size=1, max_size=8),
+)
+@example(
+    [(0, 1, 2**31 - 1), (0, 2**30, 2**31 - 1), (0, 2**31 - 2, 2**31 - 1)],
+    [(0, 1, 2, 46_340), (0, 1, 46_339, 46_340), (0, 23_170, 23_171, 46_340)],
+)
+def test_kernel_block_stays_in_int64_on_its_proven_range(sets3, sets4):
+    # proven: no transform entry reaches _INT64_GUARD at k = 3 with spread
+    # below 2^31, nor at k = 4 with spread up to 46,340; a set that left
+    # the guard would fall back to the same values, so only `ok` shows it
+    for sets in (sets3, sets4):
+        kernel, ok = lattice._kernel_block(np.array([s[1:] for s in sets], dtype=np.int64))
+        assert ok.all(), sets
+        assert kernel.tolist() == [[list(r) for r in lattice._difference_kernel(s)] for s in sets]
+
+
 def test_minima_values_block_checks_arguments():
     with pytest.raises(ValueError, match=r"count must be in \[1, 2\]"):
         lattice._minima_values_block([(0, 2, 18, 25)], 3, 64)

@@ -591,8 +591,10 @@ def test_log2_bounds_contain_the_logarithm_of_huge_integers():
 
 
 def _bounds(value: LogLinear, bits: int, m: int = 1) -> tuple[Fraction, Fraction]:
-    """The interval of m*value at `bits` as Fractions."""
-    lo, hi, s = value._interval(bits, m)
+    """The interval of value at `bits`, scaled by m, as Fractions, lower
+    end first."""
+    lo, hi, s = value._interval(bits)
+    lo, hi = sorted((m * lo, m * hi))
     return Fraction(lo, 1 << s), Fraction(hi, 1 << s)
 
 
@@ -603,7 +605,7 @@ def test_log_linear_of_ratios_and_negative_scalings():
     assert not x.is_rational and (x.rat, x.num, x.den) == (-2, 15, 1)
     y = LogLinear.log2_of(Fraction(6, 20))  # log2(3/10) = -1 + log2(3/5)
     assert (y.rat, y.num, y.den) == (-1, 3, 5)
-    assert y.floor(0) == 0 and _bounds(y, 64, 0) == (0, 0)
+    assert y.floor(0) == 0
     assert y.floor() == -2  # log2(0.3) = -1.73...
     with pytest.raises(ValueError):
         LogLinear.log2_of(0)
@@ -613,21 +615,25 @@ def test_log_linear_of_ratios_and_negative_scalings():
     assert lo < _log2_to_400_bits(Fraction(5, 3)) < hi
     z = LogLinear.log2_of(Fraction(1, 3))  # num = 1: still irrational
     assert not z.is_rational and z.floor() == -2
-    lo, hi = _bounds(LogLinear.log2_of(3), 64, -1)
+    # -log2(3) is log2(1/3) = LogLinear(-rat, den, num), the -1 multiple
+    lo, hi = _bounds(LogLinear(0, 1, 3), 64)
     assert lo < -_log2_to_400_bits(3) < hi
+    assert (lo, hi) == _bounds(LogLinear.log2_of(3), 64, -1)
     assert LogLinear.log2_of(3).floor(-1) == -2
     assert LogLinear.log2_of(Fraction(5, 3)).floor(-7) == -6  # -5.16...
-    assert LogLinear(0, -2, 1, 3).sign_lower_bound() > 3  # -2*log2(1/3) = 3.17...
+    w = LogLinear.log2_of(Fraction(1, 9))  # its negation is log2(9) = 3.17...
+    assert LogLinear(-w.rat, w.den, w.num).sign_lower_bound() > 3
 
 
 # ---------------------------------------------------------------------------
 # Oracle: LogLinear's bounds, floor and sign decisions as they were before
-# they moved to integer fixed-point intervals, in Fraction arithmetic.
-# Copied verbatim except for the names, the module-level state they read
-# (their own log cache, and the schedule through the module), and the
-# source of each log's interval: the oracle checks the interval
-# arithmetic, so it takes its logs from types._log2_bounds, whose own
-# oracle is test_log2_bounds_match_mpmath.
+# they moved to integer fixed-point intervals, in Fraction arithmetic, on
+# values rat + coeff*log2(num/den). Copied verbatim except for the names,
+# the fields and the rational test LogLinear had while it held a
+# coefficient, the module-level state they read (their own log cache, and
+# the schedule through the module), and the source of each log's interval:
+# the oracle checks the interval arithmetic, so it takes its logs from
+# types._log2_bounds, whose own oracle is test_log2_bounds_match_mpmath.
 
 _FRACTION_LOG2_CACHE: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
 
@@ -642,10 +648,20 @@ def fraction_log2_bounds(n: int, bits: int) -> tuple[Fraction, Fraction]:
     return _FRACTION_LOG2_CACHE[key]
 
 
-class FractionLogLinear(LogLinear):
-    """LogLinear with the Fraction interval arithmetic."""
+class FractionLogLinear:
+    """rat + coeff * log2(num/den) with the Fraction interval arithmetic."""
 
-    __slots__ = ()
+    __slots__ = ("rat", "coeff", "num", "den")
+
+    def __init__(self, rat, coeff: int, num: int, den: int):
+        self.rat = rat
+        self.coeff = coeff
+        self.num = num
+        self.den = den
+
+    @property
+    def is_rational(self) -> bool:
+        return self.coeff == 0 or self.num == self.den == 1
 
     def bounds(self, bits: int) -> tuple[Fraction, Fraction]:
         lo = hi = Fraction(0)
@@ -687,18 +703,25 @@ class FractionLogLinear(LogLinear):
 
 
 def _log_linear_cases():
-    """20,000 seeded values rat + coeff*log2(num/den) with integer fields:
-    num and den the odd parts of integers up to 10**6 (both 1 for some:
-    rational values), coefficients m in +-10**6 (often negative, some
-    small, some 0), and integer offsets up to 10**6."""
+    """20,000 seeded cases (off, c, rat, num, den), each the value off + c*x
+    of x = LogLinear(rat, num, den): num and den the odd parts of integers
+    up to 10**6 (both 1 for some: rational values), multiples c in +-10**6
+    (often negative, some small, some 0), and integer offsets up to
+    10**6."""
     rng = random.Random(1019)
     for i in range(20_000):
         if i % 50 == 0:
-            base = LogLinear.log2_of(Fraction(1 << rng.randint(0, 20), 1 << rng.randint(0, 20)))
+            x = LogLinear.log2_of(Fraction(1 << rng.randint(0, 20), 1 << rng.randint(0, 20)))
         else:
-            base = LogLinear.log2_of(Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)))
-        m = rng.choice((-1, 1)) * rng.randint(0, 10 ** rng.randint(0, 6))
-        yield base.rat * m + rng.randint(-10**6, 10**6), base.coeff * m, base.num, base.den
+            x = LogLinear.log2_of(Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)))
+        c = rng.choice((-1, 1)) * rng.randint(0, 10 ** rng.randint(0, 6))
+        yield rng.randint(-10**6, 10**6), c, x.rat, x.num, x.den
+
+
+def _oracle(case, m: int = 1) -> FractionLogLinear:
+    """The oracle's m * (off + c*x) for a case."""
+    off, c, rat, num, den = case
+    return FractionLogLinear(m * (off + c * rat), m * c, num, den)
 
 
 def _outcome(query):
@@ -709,101 +732,129 @@ def _outcome(query):
     return type(result), result
 
 
-def _floor_and_sign(value: LogLinear):
-    """The floor, and the sign lower bound of the value or, when the floor
-    is negative, of its negation (for a rational zero, ValueError)."""
-    floor = _outcome(value.floor)
+def _sign(x, minus_x):
+    """The sign lower bound of x or, when the floor of x is negative, of
+    minus_x (for a rational zero, ValueError)."""
+    floor = _outcome(x.floor)
     if isinstance(floor, tuple) and floor[1] < 0:
-        value = type(value)(-value.rat, -value.coeff, value.num, value.den)
-    return floor, _outcome(value.sign_lower_bound)
+        x = minus_x
+    return _outcome(x.sign_lower_bound)
+
+
+def _floor_and_sign(case):
+    """The floor of the case's value off + c*x, and the sign of x, from
+    LogLinear and from the oracle."""
+    off, c, rat, num, den = case
+    x = LogLinear(rat, num, den)
+    fast = _outcome(lambda: x.floor(c) + off), _sign(x, LogLinear(-rat, den, num))
+    oracle = _outcome(_oracle(case).floor), _sign(
+        FractionLogLinear(rat, 1, num, den), FractionLogLinear(-rat, -1, num, den)
+    )
+    return fast, oracle
 
 
 def test_integer_intervals_match_fraction_oracle(monkeypatch):
     cases = list(_log_linear_cases())
-    for fields in cases:
-        fast, oracle = LogLinear(*fields), FractionLogLinear(*fields)
-        assert _bounds(fast, 64) == oracle.bounds(64), fields
-        assert _floor_and_sign(fast) == _floor_and_sign(oracle), fields
-    # at 2 bits each log's interval is 1/2 wide, so any value with
-    # |coeff| >= 2 spans an integer and its floor stays undecided
+    for case in cases:
+        off, c, rat, num, den = case
+        lo, hi = _bounds(LogLinear(rat, num, den), 64, c)
+        assert (lo + off, hi + off) == _oracle(case).bounds(64), case
+        fast, oracle = _floor_and_sign(case)
+        assert fast == oracle, case
+    _check_floors_at_two_bits(monkeypatch, cases[:2000])
+
+
+def _check_floors_at_two_bits(monkeypatch, cases):
+    # at 2 bits each log's interval is 1/2 wide, so any value off + c*x
+    # with |c| >= 2 spans an integer and its floor stays undecided
     monkeypatch.setattr(types, "PRECISION_SCHEDULE", (2,))
     wide = signs_exhausted = 0
-    for fields in cases[:2000]:
-        fast, oracle = LogLinear(*fields), FractionLogLinear(*fields)
-        outcomes = _floor_and_sign(fast)
-        assert outcomes == _floor_and_sign(oracle), fields
-        if not fast.is_rational and abs(fast.coeff) >= 2:
+    for case in cases:
+        fast, oracle = _floor_and_sign(case)
+        assert fast == oracle, case
+        _, c, _, num, den = case
+        if num != den and abs(c) >= 2:
             wide += 1
-            assert outcomes[0] is PrecisionExhaustedError, fields
-        signs_exhausted += outcomes[1] is PrecisionExhaustedError
+            assert fast[0] is PrecisionExhaustedError, case
+        signs_exhausted += fast[1] is PrecisionExhaustedError
     assert wide > 1000 and signs_exhausted > 100
 
 
 def test_floor_of_a_multiple_matches_fraction_oracle(monkeypatch):
-    # floor(m) against the oracle's floor of the value with rat and coeff
-    # multiplied by m, for negative, zero and huge m. m ~ 10**300 needs
-    # the 2048-bit logs, and m ~ 2**5000 outruns the schedule; logs that
-    # wide take milliseconds each, so fewer values get those scales
+    # floor(m * (off + c*x)) is x.floor(m*c) + m*off, against the oracle's
+    # floor of the value with off and c multiplied by m, for negative,
+    # zero and huge m. m ~ 10**300 needs the 2048-bit logs, and m ~ 2**5000
+    # outruns the schedule; logs that wide take milliseconds each, so
+    # fewer values get those scales
     rng = random.Random(1039)
     cases = list(_log_linear_cases())[::41]
-    assert sum(LogLinear(*fields).is_rational for fields in cases) >= 5
+    assert sum(c == 0 or num == den for _, c, _, num, den in cases) >= 5
     exhausted = 0
-    for i, (rat, coeff, num, den) in enumerate(cases):
-        fast = LogLinear(rat, coeff, num, den)
+    for i, case in enumerate(cases):
+        off, c, rat, num, den = case
+        x = LogLinear(rat, num, den)
         scales = [0, 1, -1, 2, -2, -(10**6), 10**30, rng.randint(-10**12, 10**12)]
         if i % 20 == 0:
             scales += [-(10**300), 2**5000]
         for m in scales:
-            outcome = _outcome(lambda: fast.floor(m))
-            oracle = FractionLogLinear(rat * m, coeff * m, num, den)
-            assert outcome == _outcome(oracle.floor), (rat, coeff, num, den, m)
+            outcome = _outcome(lambda: x.floor(m * c) + m * off)
+            assert outcome == _outcome(_oracle(case, m).floor), (case, m)
             exhausted += outcome is PrecisionExhaustedError
     assert exhausted >= 15
     monkeypatch.setattr(types, "PRECISION_SCHEDULE", (2,))
-    for rat, coeff, num, den in cases[:200]:
-        fast = LogLinear(rat, coeff, num, den)
-        oracle = FractionLogLinear(-3 * rat, -3 * coeff, num, den)
-        assert _outcome(lambda: fast.floor(-3)) == _outcome(oracle.floor), (rat, coeff, num, den)
+    for case in cases[:200]:
+        off, c, rat, num, den = case
+        x = LogLinear(rat, num, den)
+        outcome = _outcome(lambda: x.floor(-3 * c) - 3 * off)
+        assert outcome == _outcome(_oracle(case, -3).floor), case
 
 
 def test_warm_floor_matches_a_fresh_value(monkeypatch):
-    # floor(m) scales an interval the first call kept; every scale on one
-    # warm value must floor like a fresh value and the oracle. 2**5000
+    # floor(m) scales an interval the first call kept; every multiple of
+    # one warm value must floor like a fresh value and the oracle. 2**5000
     # escalates through the whole schedule, milliseconds a value, so
     # fewer values get it
     scales = [0, 1, -1, 2, -2, 10**6, -(10**6), 10**30]
-    for i, (rat, coeff, num, den) in enumerate(_log_linear_cases()):
-        warm = LogLinear(rat, coeff, num, den)
+    for i, case in enumerate(_log_linear_cases()):
+        off, c, rat, num, den = case
+        warm = LogLinear(rat, num, den)
         for m in scales + [2**5000] * (i % 199 == 1):
-            outcome = _outcome(lambda: warm.floor(m))
-            assert outcome == _outcome(lambda: LogLinear(rat, coeff, num, den).floor(m))
-            oracle = FractionLogLinear(rat * m, coeff * m, num, den)
-            assert outcome == _outcome(oracle.floor), (rat, coeff, num, den, m)
+            outcome = _outcome(lambda: warm.floor(m * c) + m * off)
+            assert outcome == _outcome(lambda: LogLinear(rat, num, den).floor(m * c) + m * off)
+            assert outcome == _outcome(_oracle(case, m).floor), (case, m)
+    _check_kept_interval_follows_the_schedule(monkeypatch)
+
+
+def _check_kept_interval_follows_the_schedule(monkeypatch):
     # the kept interval follows the schedule read at call time: at a
     # first precision of 2, log2(27) = 4.75... stays undecided; 64 bits
     # alone decide it but not 10**30 times it; from 128 bits both settle
     x, big = LogLinear.log2_of(27), 10**30
     exact = {m: FractionLogLinear(0, 3 * m, 3, 1).floor() for m in (1, big)}
-    assert (x.floor(), x.floor(big)) == (exact[1], exact[big])
+
+    def settle(m):
+        """The floor of m*x, or the precisions a failed floor attempted."""
+        try:
+            return x.floor(m)
+        except PrecisionExhaustedError as exc:
+            return exc.attempted
+
+    assert (settle(1), settle(big)) == (exact[1], exact[big])
     for schedule, settled in (((2,), ()), ((64,), (1,)), ((128, 256), (1, big))):
         monkeypatch.setattr(types, "PRECISION_SCHEDULE", schedule)
         for m in (1, big):
-            if m in settled:
-                assert x.floor(m) == exact[m], (schedule, m)
-            else:
-                with pytest.raises(PrecisionExhaustedError) as exc:
-                    x.floor(m)
-                assert exc.value.attempted == schedule
+            assert settle(m) == (exact[m] if m in settled else schedule), (schedule, m)
 
 
 def test_rounding_by_the_floor_of_twice_the_value():
     # the transports round x to floor(x + 1/2) as (floor(2x) + 1) // 2;
     # floor(x - 1/2) is (floor(2x) - 1) // 2 in the same way
-    for rat, coeff, num, den in _log_linear_cases():
-        twice = LogLinear(rat, coeff, num, den).floor(2)
+    for case in _log_linear_cases():
+        off, c, rat, num, den = case
+        twice = LogLinear(rat, num, den).floor(2 * c) + 2 * off
         for sign in (1, -1):
-            oracle = FractionLogLinear(rat + Fraction(sign, 2), coeff, num, den).floor()
-            assert (twice + sign) // 2 == oracle, (rat, coeff, num, den, sign)
+            oracle = FractionLogLinear(off + c * rat + Fraction(sign, 2), c, num, den).floor()
+            assert (twice + sign) // 2 == oracle, (case, sign)
 
 
 def test_log2_cache_stays_bounded():
