@@ -17,7 +17,8 @@ Three transports are implemented, all exact:
     then preserves the h-type in both directions: equal sums stay equal
     because the total rounding error is below 1, distinct sums stay
     distinct because Q >= q0 >= 2/sep_h(X). All arithmetic is exact:
-    Fraction arithmetic, and the scan floors m*x as m*num // den.
+    Fraction arithmetic, and the scan keeps m*num for x = num/den as a
+    running sum, one addition a step, and floors m*x as m*num // den.
 
   * sum_to_product: s -> 2**s turns equal sums into equal products
     verbatim.
@@ -45,7 +46,10 @@ Three transports are implemented, all exact:
     the first precision of the schedule. The floor of m*log2(r) scales
     that interval by m, which keeps it over 2**s, and takes two right
     shifts by s; only a floor whose scaled interval straddles an integer
-    goes on to the next precision. Both transports round x to
+    goes on to the next precision. The scan streams these floors: its
+    multiples grow by one step, so each log keeps the running ends
+    m*lo and m*hi and adds step*lo and step*hi to them, and calls floor
+    only when the ends have different floors. Both transports round x to
     floor(x + 1/2) as (floor(2x) + 1) // 2, the floor they scan with at
     2x. q0 is exact, the least q with r**q >= 4, so the output depends on
     (P, h) alone and not on how tight an interval is. The output set is
@@ -59,7 +63,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from itertools import count, repeat
+from operator import floordiv, mod, mul
 
 from .core import CapExceeded, IntegerSet, RationalSet, enumerate_compositions
 
@@ -67,9 +72,12 @@ PRECISION_SCHEDULE = (64, 128, 256, 512, 1024, 2048, 4096)
 
 DEFAULT_POWER_BIT_BUDGET = 1_000_000
 
-# Dilation steps the box-collision scan may take. The pigeonhole bound
-# (2h)**(k-2) + 1 outgrows any time budget once k is large (12**12 + 1 for
-# k = 14, h = 6), and each step adds an entry to the scan's `seen` dict.
+# Dilation steps the box-collision scan may take. The pigeonhole bound,
+# (2h)**(k-2) + 1 for the embedding, which scans the k - 2 interior
+# elements, and (2h)**k + 1 for product_to_sum, which scans all k logs,
+# outgrows any time budget once k is large (12**12 + 1 for an embedding
+# of k = 14 at h = 6), and each step adds an entry to the scan's `seen`
+# dict.
 DILATION_STEP_BUDGET = 200_000
 
 
@@ -167,21 +175,30 @@ class EmbeddingTrace:
         }
 
 
-def _collision_dilation(values, floor_scaled, q0: int, h: int) -> int:
+def _collision_dilation(values, floor_residues, q0: int, h: int) -> int:
     """A dilation Q, a positive multiple of q0, with every Q*v within
     1/(2h) of an integer. The fractional parts of q*q0*v, q = 0, 1, ...,
-    are binned into boxes of side 1/(2h) (floor_scaled(v, m) is floor(m*v));
-    when step q revisits the box of step p, Q = (q - p)*q0. Raises
-    CapExceeded after DILATION_STEP_BUDGET steps without a collision."""
+    are binned into boxes of side 1/(2h): with step = 2h*q0, the box of v
+    at step q is floor(q*step*v) mod 2h, and floor_residues(v, step, 2h)
+    yields these for q = 0, 1, ... one at a time. When step q revisits the
+    box of step p, Q = (q - p)*q0; with no values every step has the empty
+    box, so Q = q0. Raises CapExceeded after DILATION_STEP_BUDGET steps
+    without a collision."""
     twoh = 2 * h
+    streams = [floor_residues(v, q0 * twoh, twoh) for v in values]
     seen: dict[tuple[int, ...], int] = {}
     for q in range(DILATION_STEP_BUDGET):
-        scale = q * q0 * twoh
-        box = tuple(floor_scaled(v, scale) % twoh for v in values)
-        if box in seen:
-            return (q - seen[box]) * q0
-        seen[box] = q
+        p = seen.setdefault(tuple(map(next, streams)), q)
+        if p != q:
+            return (q - p) * q0
     raise CapExceeded(f"no box collision within {DILATION_STEP_BUDGET} dilation steps")
+
+
+def _fraction_floor_residues(x: Fraction, step: int, modulus: int):
+    """floor(q*step*x) % modulus for q = 0, 1, ...: the numerators
+    q*step*x.numerator grow by one addition a step."""
+    return map(mod, map(floordiv, count(0, step * x.numerator), repeat(x.denominator)),
+               repeat(modulus))
 
 
 def embed_real_to_integers(X, h: int) -> tuple[IntegerSet, EmbeddingTrace]:
@@ -203,12 +220,9 @@ def embed_real_to_integers(X, h: int) -> tuple[IntegerSet, EmbeddingTrace]:
     sep = separation(RationalSet(xs), h)
     q0 = math.ceil(Fraction(2) / sep)
 
-    def floor(x: Fraction, m: int) -> int:
-        return m * x.numerator // x.denominator
+    Q = _collision_dilation(xs[1:-1], _fraction_floor_residues, q0, h)
 
-    Q = _collision_dilation(xs[1:-1], floor, q0, h)
-
-    members = [(floor(x, 2 * Q) + 1) // 2 for x in xs]
+    members = [(2 * Q * x.numerator // x.denominator + 1) // 2 for x in xs]
     epsilons = tuple(Q * x - a for x, a in zip(xs, members))
     A = IntegerSet(members)
     if A.k != k:
@@ -315,10 +329,13 @@ class LogLinear:
     @classmethod
     def log2_of(cls, r) -> "LogLinear":
         """log2 of a positive integer or Fraction."""
-        r = Fraction(r)
-        if r <= 0:
+        if type(r) is int:
+            a, b = r, 1
+        else:
+            r = Fraction(r)
+            a, b = r.numerator, r.denominator
+        if a <= 0:
             raise ValueError("log2 of a nonpositive number")
-        a, b = r.numerator, r.denominator
         ta = (a & -a).bit_length() - 1
         tb = (b & -b).bit_length() - 1
         return cls(ta - tb, a >> ta, b >> tb)
@@ -368,6 +385,23 @@ class LogLinear:
             if lo == m * hi >> s:
                 return lo
         raise PrecisionExhaustedError("floor of a log-linear value", PRECISION_SCHEDULE)
+
+    def floor_residues(self, step: int, modulus: int):
+        """floor(q*step*self) % modulus for q = 0, 1, ..., with step >= 0.
+        Keeps the running ends L = m*lo and H = m*hi of the multiple
+        m = q*step over the kept interval (lo, hi, s), one addition each a
+        step. When L and H have the same floor, that is floor(m*self), as
+        in the first pass of floor(m); otherwise floor(m) escalates. A
+        rational value has lo = hi = rat and s = 0, so it never calls
+        floor."""
+        lo, hi, s = self._interval(PRECISION_SCHEDULE[0])
+        dlo, dhi = step * lo, step * hi
+        low = high = 0
+        for m in count(0, step):
+            f = low >> s
+            yield (f if f == high >> s else self.floor(m)) % modulus
+            low += dlo
+            high += dhi
 
     def sign_lower_bound(self) -> Fraction:
         """A positive rational lower bound for a value known to be > 0,
@@ -431,7 +465,7 @@ def product_to_sum(P: IntegerSet, h: int) -> IntegerSet:
     products = _products(P.elements, h)
     target = TypePartition(h, k, _partition_by(products))
     logs = [LogLinear.log2_of(p) for p in P.elements]
-    Q = _collision_dilation(logs, LogLinear.floor, _q0(products), h)
+    Q = _collision_dilation(logs, LogLinear.floor_residues, _q0(products), h)
 
     members = [(l.floor(2 * Q) + 1) // 2 for l in logs]
     A = IntegerSet(members)

@@ -6,8 +6,9 @@ import itertools
 
 import pytest
 
+import test_sumset
 import test_types
-from sumsetlab import types
+from sumsetlab import sumset, types
 from sumsetlab.types import LogLinear
 
 
@@ -43,3 +44,56 @@ def test_rational_shortcut_on_num_one_alone(monkeypatch):
     with pytest.raises(AssertionError) as exc:
         test_types.test_log_linear_of_ratios_and_negative_scalings()
     assert "not z.is_rational" in str(exc.traceback[-1].statement)
+
+
+def _streamed_scan_check_fails(monkeypatch):
+    cases = itertools.islice(test_types._streamed_scan_cases(), 200)
+    with pytest.raises(AssertionError) as exc:
+        test_types._check_streamed_scan(monkeypatch, cases)
+    assert "fast == oracle" in str(exc.traceback[-1].statement)
+
+
+def test_straddle_settled_from_the_low_end_alone(monkeypatch):
+    # a straddling step yields the floor of its low running end
+    def mutant(self, step, modulus):
+        lo, _, s = self._interval(types.PRECISION_SCHEDULE[0])
+        for q in itertools.count():
+            yield (q * step * lo >> s) % modulus
+
+    monkeypatch.setattr(LogLinear, "floor_residues", mutant)
+    _streamed_scan_check_fails(monkeypatch)
+
+
+def test_running_ends_start_one_step_ahead(monkeypatch):
+    # the running ends start at step*lo and step*hi instead of 0
+    def mutant(self, step, modulus):
+        lo, hi, s = self._interval(types.PRECISION_SCHEDULE[0])
+        low, high = step * lo, step * hi
+        for m in itertools.count(0, step):
+            f = low >> s
+            yield (f if f == high >> s else self.floor(m)) % modulus
+            low += step * lo
+            high += step * hi
+
+    monkeypatch.setattr(LogLinear, "floor_residues", mutant)
+    _streamed_scan_check_fails(monkeypatch)
+
+
+def test_fold_size_one_mask_short(monkeypatch):
+    # the prefix identity ORs in M_1 .. M_(h-1) and drops M_h
+    fold_size = sumset.fold_size
+
+    def mutant(elements, h):
+        prefix, d = elements[:-1], elements[-1] - elements[0]
+        if h < 2 or not prefix or h * d > sumset._PREFIX_MEMO_SPAN_LIMIT:
+            return fold_size(elements, h)
+        m = 1
+        for mask in sumset._prefix_masks(prefix, h)[:-1]:
+            m = (m << d) | mask
+        return m.bit_count()
+
+    monkeypatch.setattr(sumset, "fold_size", mutant)
+    monkeypatch.setattr(test_sumset, "fold_size", mutant)
+    with pytest.raises(AssertionError) as exc:
+        test_sumset.test_matches_tuple_oracle()
+    assert "fold_size" in str(exc.traceback[-1].statement)

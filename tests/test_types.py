@@ -9,6 +9,8 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sumsetlab
 from sumsetlab import types
@@ -19,6 +21,7 @@ from sumsetlab.types import (
     LogLinear,
     PrecisionExhaustedError,
     _collision_dilation,
+    _fraction_floor_residues,
     _log2_bounds,
     _q0,
     embed_real_to_integers,
@@ -146,6 +149,32 @@ def test_embed_two_elements():
     assert h_type(A, 3).class_count == 4
 
 
+# Oracle: the box-collision scan as it was when it took one exact floor
+# per value per step. Copied verbatim except for the name and the budget,
+# which it reads from the types module at call time.
+
+
+def oracle_collision_dilation(values, floor_scaled, q0: int, h: int) -> int:
+    """A dilation Q, a positive multiple of q0, with every Q*v within
+    1/(2h) of an integer. The fractional parts of q*q0*v, q = 0, 1, ...,
+    are binned into boxes of side 1/(2h) (floor_scaled(v, m) is floor(m*v));
+    when step q revisits the box of step p, Q = (q - p)*q0. Raises
+    CapExceeded after DILATION_STEP_BUDGET steps without a collision."""
+    twoh = 2 * h
+    seen: dict[tuple[int, ...], int] = {}
+    for q in range(types.DILATION_STEP_BUDGET):
+        scale = q * q0 * twoh
+        box = tuple(floor_scaled(v, scale) % twoh for v in values)
+        if box in seen:
+            return (q - seen[box]) * q0
+        seen[box] = q
+    raise CapExceeded(f"no box collision within {types.DILATION_STEP_BUDGET} dilation steps")
+
+
+def _floor_fraction(x: Fraction, m: int) -> int:
+    return m * x.numerator // x.denominator
+
+
 # Oracle: embed_real_to_integers as it was when it rounded each Q*x
 # through _nearest_int, before both transports rounded by the floor of
 # 2*Q*x. Copied verbatim except for the names.
@@ -167,7 +196,7 @@ def oracle_embed_real_to_integers(X, h: int):
 
     sep = separation(RationalSet(xs), h)
     q0 = math.ceil(Fraction(2) / sep)
-    Q = _collision_dilation(xs[1:-1], lambda x, m: m * x.numerator // x.denominator, q0, h)
+    Q = oracle_collision_dilation(xs[1:-1], _floor_fraction, q0, h)
 
     members = []
     epsilons = []
@@ -228,6 +257,168 @@ def test_dilation_step_budget(monkeypatch, capsys):
     assert capsys.readouterr().err.count("dilation steps") == 2
 
 
+# The streamed scan against the oracle scan. A scan value is described
+# as ("log", a, b), the LogLinear log2(a/b), or ("frac", n, d), the
+# Fraction n/d; each side builds its own values, so no kept interval is
+# shared between them.
+
+
+def _scan_value(spec):
+    kind, a, b = spec
+    return LogLinear.log2_of(Fraction(a, b)) if kind == "log" else Fraction(a, b)
+
+
+def _scan_outcome(run):
+    """The scan's Q, or the type and message of what it raised."""
+    try:
+        return run()
+    except CapExceeded as exc:
+        return type(exc), str(exc)
+
+
+def _compare_scans(specs, q0, h):
+    """The streamed scan's outcome, asserted equal to the oracle's. All
+    values of one scan have one kind."""
+    if specs and specs[0][0] == "log":
+        residues, floor_scaled = LogLinear.floor_residues, LogLinear.floor
+    else:
+        residues, floor_scaled = _fraction_floor_residues, _floor_fraction
+    fast = _scan_outcome(lambda: _collision_dilation(
+        [_scan_value(v) for v in specs], residues, q0, h))
+    oracle = _scan_outcome(lambda: oracle_collision_dilation(
+        [_scan_value(v) for v in specs], floor_scaled, q0, h))
+    assert fast == oracle, (specs, q0, h)
+    return fast
+
+
+_DEFAULT_SCHEDULE = types.PRECISION_SCHEDULE
+_SCAN_SCHEDULES = (_DEFAULT_SCHEDULE, (2, 64))
+_SCAN_BUDGETS = (1, 2, 3, 7, 40, types.DILATION_STEP_BUDGET)
+
+_log_specs = st.tuples(
+    st.just("log"),
+    st.one_of(st.integers(1, 10**12), st.integers(0, 80).map(lambda j: 2**j)),
+    st.one_of(st.just(1), st.integers(1, 10**12)),
+)
+_frac_specs = st.tuples(st.just("frac"), st.integers(-(10**12), 10**12), st.integers(1, 10**12))
+
+
+def _check_streamed_scan(monkeypatch, cases):
+    """_compare_scans on each (specs, q0, h, schedule, budget)."""
+    outcomes = []
+    for specs, q0, h, schedule, budget in cases:
+        with monkeypatch.context() as patched:
+            patched.setattr(types, "PRECISION_SCHEDULE", schedule)
+            patched.setattr(types, "DILATION_STEP_BUDGET", budget)
+            outcomes.append(_compare_scans(specs, q0, h))
+    return outcomes
+
+
+def _streamed_scan_cases():
+    """600 seeded scans of 1 to 5 logs of ratios up to 10**12, at both
+    schedules and the default budget, then 100 at a budget of 3 steps."""
+    rng = random.Random(1051)
+    for i in range(700):
+        specs = [("log", rng.randint(1, 10**12), rng.choice([1, rng.randint(1, 10**12)]))
+                 for _ in range(rng.randint(1, 5))]
+        budget = 3 if i >= 600 else types.DILATION_STEP_BUDGET
+        yield specs, rng.randint(1, 10**6), rng.randint(1, 4), _SCAN_SCHEDULES[i % 2], budget
+
+
+def test_streamed_scan_matches_the_oracle_scan(monkeypatch):
+    outcomes = _check_streamed_scan(monkeypatch, _streamed_scan_cases())
+    # the default budget never runs out on these, a budget of 3 often does
+    assert all(isinstance(q, int) for q in outcomes[:600])
+    assert sum(not isinstance(q, int) for q in outcomes[600:]) > 50
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    specs=st.one_of(st.lists(_log_specs, max_size=5), st.lists(_frac_specs, max_size=5)),
+    q0=st.integers(1, 10**9),
+    h=st.integers(1, 4),
+    schedule=st.sampled_from(_SCAN_SCHEDULES),
+    budget=st.sampled_from(_SCAN_BUDGETS),
+)
+@example(specs=[], q0=17, h=3, schedule=_DEFAULT_SCHEDULE, budget=1)
+@example(specs=[("log", 3, 1), ("log", 5, 7)], q0=1, h=2, schedule=(2, 64), budget=40)
+@example(specs=[("log", 8, 1), ("log", 1, 2)], q0=5, h=1, schedule=(2, 64), budget=2)
+@example(specs=[("frac", 1, 3), ("frac", -5, 7)], q0=2, h=3, schedule=_DEFAULT_SCHEDULE, budget=3)
+def test_streamed_scan_matches_the_oracle_scan_on_any_values(specs, q0, h, schedule, budget):
+    with pytest.MonkeyPatch.context() as patched:
+        _check_streamed_scan(patched, [(specs, q0, h, schedule, budget)])
+
+
+def test_scan_of_no_values_gives_q0(monkeypatch):
+    # a two-element embedding scans no interior values: steps 0 and 1
+    # both have the empty box
+    for residues in (LogLinear.floor_residues, _fraction_floor_residues):
+        assert _collision_dilation([], residues, 17, 3) == 17
+    assert oracle_collision_dilation([], _floor_fraction, 17, 3) == 17
+    _, trace = embed_real_to_integers(RationalSet([Fraction(-1, 3), Fraction(5, 2)]), 4)
+    assert trace.Q == trace.q0
+    monkeypatch.setattr(types, "DILATION_STEP_BUDGET", 1)
+    for run in (lambda: _collision_dilation([], _fraction_floor_residues, 17, 3),
+                lambda: oracle_collision_dilation([], _floor_fraction, 17, 3)):
+        with pytest.raises(CapExceeded, match="no box collision within 1 dilation steps"):
+            run()
+
+
+@pytest.mark.parametrize("schedule", _SCAN_SCHEDULES)
+def test_transport_floors_only_on_a_straddle(monkeypatch, schedule):
+    # The scan calls LogLinear.floor only where the running ends of a log
+    # have different floors. The oracle scan counts those straddles from
+    # the kept interval; product_to_sum adds the floors of _q0 and one
+    # rounding floor per element. Transports like the benchmark's, of
+    # elements up to 40, never straddle at 64 bits; runs of consecutive
+    # integers near 10**12 have q0 near 10**12 and often do. At a first
+    # precision of 2 bits almost every floor straddles, and the 64 bits
+    # after it do not settle the consecutive runs.
+    monkeypatch.setattr(types, "PRECISION_SCHEDULE", schedule)
+    floor = LogLinear.floor
+    calls = []
+
+    def spy(self, m=1):
+        calls.append(m)
+        return floor(self, m)
+
+    rng = random.Random(1061)
+    scanned = straddles = 0
+    for i in range(130 if schedule == _DEFAULT_SCHEDULE else 100):
+        k, h = rng.randint(2, 5), rng.randint(1, 3)
+        if i < 100:
+            P = IntegerSet(rng.sample(range(1, 41), k))
+        else:
+            P = IntegerSet(range(rng.randint(10**9, 10**12), 0, -1)[:k])
+        products = types._products(P.elements, h)
+        q0 = _q0(products)
+        seen = []
+
+        def counting_floor(v, m):
+            lo, hi, s = v._interval(schedule[0])
+            seen.append(m * lo >> s != m * hi >> s)
+            return floor(v, m)
+
+        logs = [LogLinear.log2_of(p) for p in P.elements]
+        Q = oracle_collision_dilation(logs, counting_floor, q0, h)
+        with monkeypatch.context() as patched:
+            patched.setattr(LogLinear, "floor", spy)
+            calls.clear()
+            _q0(products)
+            q0_floors = len(calls)
+            calls.clear()
+            A = product_to_sum(P, h)
+        assert len(calls) == q0_floors + sum(seen) + P.k, (P, h)
+        assert sorted(calls[q0_floors + sum(seen):]) == [2 * Q] * P.k, (P, h)
+        assert A.elements == tuple((floor(l, 2 * Q) + 1) // 2 for l in logs), (P, h)
+        scanned += len(seen)
+        straddles += sum(seen)
+    if schedule == (2, 64):
+        assert straddles > scanned // 2
+    else:
+        assert 0 < 10 * straddles < scanned
+
+
 def test_sum_to_product_golden():
     assert sum_to_product(IntegerSet([0, 1, 2])).elements == (1, 2, 4)
     assert sum_to_product(IntegerSet([1, 3])).elements == (2, 8)
@@ -274,6 +465,32 @@ def test_log_linear_floor_and_rational_path():
     y = LogLinear.log2_of(10)  # 1 + log2(5)
     assert y.floor() == 3
     assert LogLinear.log2_of(3).floor(100) == 158  # 100*log2(3) = 158.49...
+
+
+@pytest.mark.parametrize("n", [1, 2, 2**40, 3, 99, 2**61 - 1, 2**200 + 1, 3 * 2**100, 12 * 10**12])
+def test_log2_of_an_integer_matches_the_fraction_route(monkeypatch, n):
+    via_fraction = LogLinear.log2_of(Fraction(n))
+    built = []
+
+    def spy(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(types, "Fraction", spy)
+    x = LogLinear.log2_of(n)
+    assert built == []
+    assert (x.rat, x.num, x.den) == (via_fraction.rat, via_fraction.num, via_fraction.den)
+    assert x.den == 1 and x.num % 2 == 1 and x.num << x.rat == n
+    # a bool and a Fraction still go through Fraction
+    y, z = LogLinear.log2_of(Fraction(3, 20)), LogLinear.log2_of(True)
+    assert (y.rat, y.num, y.den, z.rat, z.num, z.den) == (-2, 3, 5, 0, 1, 1)
+    assert built == [(Fraction(3, 20),), (True,)]
+
+
+@pytest.mark.parametrize("r", [0, -1, -(2**70), Fraction(0), Fraction(-3, 4), False])
+def test_log2_of_a_nonpositive_number_raises(r):
+    with pytest.raises(ValueError, match="^log2 of a nonpositive number$"):
+        LogLinear.log2_of(r)
 
 
 def test_precision_exhausted_error(monkeypatch, capsys):
@@ -522,7 +739,7 @@ def oracle_product_to_sum(P: IntegerSet, h: int) -> IntegerSet:
         gap = PrimeLogLinear.log2_of(m2).minus(PrimeLogLinear.log2_of(m1)).sign_lower_bound()
         sep_lb = gap if sep_lb is None else min(sep_lb, gap)
     q0 = math.ceil(Fraction(2) / sep_lb)
-    Q = _collision_dilation(P.elements, oracle_floor_scaled_log2, q0, h)
+    Q = oracle_collision_dilation(P.elements, oracle_floor_scaled_log2, q0, h)
 
     half = Fraction(1, 2)
     members = [l.scaled(Q).plus_rational(half).floor() for l in logs]
