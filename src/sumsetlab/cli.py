@@ -427,13 +427,21 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    # print every integer in full: lift the int-to-str digit limit (absent
+    # before 3.10.7) for the call, and restore it however the call ends
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     try:
+        if digits:
+            sys.set_int_max_str_digits(0)
+        args = _parser().parse_args(argv)
         args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         kind = f"{type(exc).__name__}: " if isinstance(exc, CapExceeded) else ""
         print(f"error: {kind}{exc}", file=sys.stderr)
         return 1
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
     return 0
 
 

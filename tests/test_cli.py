@@ -6,6 +6,7 @@ import json
 import locale
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -453,6 +454,26 @@ def test_computation_error_exit_code(capsys):
     assert "error:" in err
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="Python before 3.10.7 has no int-to-str digit limit")
+@pytest.mark.parametrize("argv, code", [
+    (["types", "to-product", "--set", "1,15000"], 0),
+    # the budget message names C(100000, 3000), which has 5,850 digits
+    (["experiment", "scan", "--n", "100000", "--k", "3000", "--h", "2"], 1),
+    (["types", "to-product", "--set", "1,x"], 2),
+])
+def test_main_lifts_the_digit_limit_for_the_call_alone(argv, code, capsys):
+    limit = sys.get_int_max_str_digits()
+    try:
+        assert main(argv) == code
+    except SystemExit as exc:
+        assert exc.code == code
+    assert sys.get_int_max_str_digits() == limit
+    captured = capsys.readouterr()
+    if code < 2:
+        assert max(map(len, re.findall(r"\d+", captured.out + captured.err))) > limit
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["sumset", "profile", "--horizon", "4"])
@@ -684,6 +705,23 @@ def test_verify_file_chunk_edges(tmp_path, capsys):
         code, out, err = verify(lines)
         assert (code, err) == (0, "")
         assert json.loads(out) == {"all_match": True, "reports": []}
+
+
+def test_verify_file_gives_each_lines_verify_set_report(tmp_path, capsys):
+    # 600 seeded k = 4..6 sets: more than two chunks, each with k = 4 sets
+    # for the minima block and k >= 5 sets for the sweep
+    rng = random.Random(27)
+    lines = [",".join(map(str, sorted(rng.sample(range(1, 100), rng.randint(4, 6)))))
+             for _ in range(600)]
+    path = tmp_path / "sets.txt"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, ["theory", "verify", "--file", str(path)])
+    assert (code, err) == (0, "")
+    reports = json.loads(out)["reports"]
+    assert len(reports) == len(lines) > 2 * _VERIFY_CHUNK
+    for line, report in zip(lines, reports):
+        code, out, _ = run_cli(capsys, ["theory", "verify", "--set", line])
+        assert code == 0 and json.loads(out) == report, line
 
 
 def test_malformed_verify_file_line_is_computation_error(tmp_path, capsys):

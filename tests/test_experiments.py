@@ -876,6 +876,7 @@ def census_shapes(draw):
 @example((5, 5, 2))  # k = n: one subset
 @example((14, 5, 3))
 @example((20, 3, 5))
+@example((20, 4, 4))
 def test_type_census_matches_per_subset_oracle(shape):
     census = type_census(*shape)
     assert_same_census(census, type_census_oracle(*shape))

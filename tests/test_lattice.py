@@ -469,9 +469,9 @@ def assert_shells_sorted(shells):
         assert all(u < v for u, v in zip(vecs, vecs[1:]))
 
 
-def test_shells_match_scanning_oracle():
-    # congruence stepping against the scanning enumerator on seeded sets
-    # of either sign, k = 3..6, det = a_k - a_{k-1} up to 10^4
+def _scanning_oracle_cases():
+    """1200 seeded (A, cap): sets of either sign, k = 3..6 in turn,
+    det = a_k - a_{k-1} up to 10^4."""
     rng = random.Random(20250809)
     caps = {3: 80, 4: 80, 5: 24, 6: 12}
     for i in range(1200):
@@ -479,14 +479,22 @@ def test_shells_match_scanning_oracle():
         span = rng.choice([12, 300, 20_000])
         elems = sorted(rng.sample(range(-span, span + 1), k - 1))
         elems.append(elems[-1] + rng.randint(1, rng.choice([20, 10_000])))
-        A = IntegerSet(elems)
-        cap = rng.randint(caps[k] // 2, caps[k])
+        yield IntegerSet(elems), rng.randint(caps[k] // 2, caps[k])
+
+
+def _check_shells(cases):
+    for A, cap in cases:
         shells = lattice_shells(A, cap)
         assert sorted_shells(shells) == sorted_shells(scan_shells(A.elements, cap))
         # key order and list order too: c_{k-3} is looped inline and must
         # emit as one call per value does
         assert list(shells.items()) == list(recursive_shells(A, cap).items())
         assert_shells_sorted(shells)
+
+
+def test_shells_match_scanning_oracle():
+    # congruence stepping against the scanning enumerator
+    _check_shells(_scanning_oracle_cases())
 
 
 CONGRUENCE_EDGE_CASES = [

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import os
 import random
@@ -226,6 +227,36 @@ def test_embed_matches_nearest_int_oracle():
         B, oracle = oracle_embed_real_to_integers(X, h)
         assert A == B and trace == oracle, (X, h)
         assert trace.to_dict() == oracle.to_dict()
+
+
+def _payload(capsys, argv):
+    assert main(argv) == 0, argv
+    return json.loads(capsys.readouterr().out)
+
+
+def test_transport_payloads_match_the_oracle_scan(capsys):
+    # 300 seeded types to-sum and 200 types embed runs, k = 2..6, h = 1..4,
+    # elements up to 10^12, print the payloads built from the oracle scan
+    rng = random.Random(32)
+    for _ in range(300):
+        top, k, h = 10 ** rng.randint(2, 12), rng.randint(2, 6), rng.randint(1, 4)
+        P = sorted(rng.sample(range(1, top + 1), k))
+        logs = [LogLinear.log2_of(p) for p in P]
+        Q = oracle_collision_dilation(logs, LogLinear.floor, _q0(types._products(P, h)), h)
+        result = [(x.floor(2 * Q) + 1) // 2 for x in logs]
+        argv = ["types", "to-sum", "--set", ",".join(map(str, P)), "--h", str(h)]
+        assert _payload(capsys, argv) == {"set": P, "h": h, "result": result}, argv
+    for _ in range(200):
+        top, k, h = 10 ** rng.randint(2, 12), rng.randint(2, 6), rng.randint(1, 4)
+        vals = set()
+        while len(vals) < k:
+            vals.add(Fraction(rng.randint(-top, top), rng.randint(1, 1000)))
+        X = RationalSet(vals)
+        A, trace = oracle_embed_real_to_integers(X, h)
+        text = [str(x) for x in X.elements]
+        argv = ["types", "embed", "--set=" + ",".join(text), "--h", str(h)]
+        assert _payload(capsys, argv) == {"set": text, "h": h, "result": list(A.elements),
+                                         "trace": trace.to_dict()}, argv
 
 
 def _smallest_passing_dilation_budget(monkeypatch, run, expected):
@@ -727,18 +758,27 @@ def oracle_product_to_sum(P: IntegerSet, h: int) -> IntegerSet:
     target = product_type(P, h)
     logs = [PrimeLogLinear.log2_of(p) for p in P.elements]
 
-    # q0 >= 2 / sep_h(logs): the distinct h-fold products, sorted, give the
-    # distinct log sums in order, so consecutive gaps cover the minimum.
+    # q0 is the least q with floor(q * sep) >= 2, sep = log2 r* the least
+    # gap of the h-fold log sums: the distinct h-fold products, sorted, give
+    # the distinct log sums in order, so r* is the least ratio of two
+    # consecutive ones. q0 = ceil(2 / sep) lies between ceil(2 / hi) and
+    # ceil(2 / lo) for any bounds lo <= sep <= hi, and is bisected there.
     comps = enumerate_compositions(h, k)
     prods = sorted({math.prod(p**c for p, c in zip(P.elements, comp) if c) for comp in comps})
     if len(prods) < 2:
         # only possible for P = {1}; excluded by k >= 2 with distinct elements
         raise ValueError("all h-fold products coincide")
-    sep_lb = None
-    for m1, m2 in zip(prods, prods[1:]):
-        gap = PrimeLogLinear.log2_of(m2).minus(PrimeLogLinear.log2_of(m1)).sign_lower_bound()
-        sep_lb = gap if sep_lb is None else min(sep_lb, gap)
-    q0 = math.ceil(Fraction(2) / sep_lb)
+    m1, m2 = min(zip(prods, prods[1:]), key=lambda pair: Fraction(pair[1], pair[0]))
+    sep = PrimeLogLinear.log2_of(m2).minus(PrimeLogLinear.log2_of(m1))
+    lo = math.ceil(2 / sep.bounds(types.PRECISION_SCHEDULE[0])[1])
+    hi = math.ceil(2 / sep.sign_lower_bound())
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if sep.scaled(mid).floor() >= 2:
+            hi = mid
+        else:
+            lo = mid + 1
+    q0 = hi
     Q = oracle_collision_dilation(P.elements, oracle_floor_scaled_log2, q0, h)
 
     half = Fraction(1, 2)
@@ -750,9 +790,12 @@ def oracle_product_to_sum(P: IntegerSet, h: int) -> IntegerSet:
 
 
 def _transport_cases():
-    """3000 seeded (P, h): elements of [1, 40] and of [1, 2000], powers of
+    """3009 seeded (P, h): elements of [1, 40] and of [1, 2000], powers of
     two (every log rational), 2^i 3^j (two primes shared by all), and
-    multiples of 6 (shared factors with odd cofactors)."""
+    multiples of 6 (shared factors with odd cofactors); then, at h = 1, runs
+    of 2 to 4 consecutive elements from 10^10 to 10^12, whose least log
+    gap is so small that ceil(2 / lower bound) from a 64-bit interval lies
+    thousands to hundreds of thousands of steps above the least q0."""
     rng = random.Random(1009)
     pools = [
         range(1, 41),
@@ -764,6 +807,10 @@ def _transport_cases():
     for i in range(3000):
         pool = pools[i % len(pools)]
         yield IntegerSet(rng.sample(pool, rng.randint(2, 5))), rng.randint(1, 3)
+    yield IntegerSet(range(171048208845, 171048208849)), 1
+    for _ in range(8):
+        n = rng.randint(10**10, 10**12)
+        yield IntegerSet(range(n, n + rng.randint(2, 4))), 1
 
 
 def test_product_to_sum_matches_prime_factor_oracle():
